@@ -242,7 +242,7 @@ def _cmd_complex(args) -> int:
             lines,
         )
         return 0
-    c = build_complex(q, field, seed=args.seed, exact=args.exact)
+    c = build_complex(q, field, seed=args.seed)
     if args.action == "build":
         lines = [
             f"vertices: {len(c.vertices)}",
@@ -350,6 +350,24 @@ def _selftest_checks():
         and len(c3.ridges()) == 21
         and len(c3.facets) == 14
         and linear_type_a_facet_count(3) == 14,
+    )
+    e6q = Quiver(
+        ["1", "2", "3", "4", "5", "6"],
+        [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("6", "3")],
+    )
+    c6 = build_complex(e6q, field)
+    report = verify_sphere(c6, samples=0)
+    try:
+        labelled = len(wall_labels(c6)) == len(c6.ridges())
+    except EmptyLabelError:
+        labelled = False
+    yield (
+        "E6 complex: 833 facets, a sphere of Euler characteristic 0, "
+        "every ridge labelled",
+        len(c6.facets) == 833
+        and report.ok
+        and report.euler_characteristic == 0
+        and labelled,
     )
 
 
@@ -470,11 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("json", "obj", "svg"),
         default="json",
         help="export format (complex export)",
-    )
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the deterministic ext oracle for compatibility",
     )
     p.add_argument(
         "--bound", type=int, default=3, help="entry bound (complex truncate)"

@@ -36,11 +36,8 @@ from .quiver import (
     euler_data,
     euler_form,
     proj_vector,
-    tits_form,
 )
 from .reps import end_dim, ext_dim, random_rep
-
-_ROOT_ENTRY_BOUND = 6  # largest coordinate of any ADE highest root
 
 
 def symmetrized_euler(q: Quiver) -> list[list[int]]:
@@ -59,17 +56,7 @@ def _require_dynkin(q: Quiver) -> None:
 
 
 def positive_roots(q: Quiver) -> tuple[DimVector, ...]:
-    """All alpha >= 0 with tits_form = 1, entries bounded, lexicographic."""
-    _require_dynkin(q)
-    found = []
-    for alpha in itertools.product(range(_ROOT_ENTRY_BOUND + 1), repeat=q.n):
-        if any(alpha) and tits_form(q, alpha) == 1:
-            found.append(alpha)
-    return tuple(found)
-
-
-def reflection_closure_roots(q: Quiver) -> tuple[DimVector, ...]:
-    """Independent root enumeration: close the simples under s_i(x) = x - (Cx)_i e_i."""
+    """Close the simples under s_i(x) = x - (Cx)_i e_i; lexicographic order."""
     _require_dynkin(q)
     cartan = symmetrized_euler(q)
     seen: set[DimVector] = set()
@@ -129,7 +116,7 @@ _exact_ext_cache: dict[tuple, int] = {}
 
 
 def exact_root_ext(q: Quiver, a: DimVector, b: DimVector, field: Field, seed: int = 0):
-    """Deterministic fallback oracle: ext between the unique indecomposables.
+    """Deterministic oracle: ext between the unique indecomposables.
 
     On a Dynkin quiver each positive root has one indecomposable up to
     isomorphism, so ext_dim between Schur witnesses is exact, not sampled.
@@ -142,29 +129,25 @@ def exact_root_ext(q: Quiver, a: DimVector, b: DimVector, field: Field, seed: in
     return _exact_ext_cache[key]
 
 
-def compatible(
-    q: Quiver,
-    x: ComplexVertex,
-    y: ComplexVertex,
-    field: Field,
-    seed: int = 0,
-    exact: bool = False,
-) -> bool:
-    """Pairwise virtual semi-tilting condition.
-
-    Two roots: vanishing generic ext both ways.  Root beta against shifted
-    P(v)[1]: beta_v = 0.  Two shifted: always compatible.
-    """
+def _shifted_compatible(x: ComplexVertex, y: ComplexVertex) -> bool:
+    """Root beta against shifted P(v)[1]: beta_v = 0.  Two shifted: always."""
     if x.kind == "shifted" and y.kind == "shifted":
         return True
+    root, shifted = (y, x) if x.kind == "shifted" else (x, y)
+    return root.vector[shifted.vertex] == 0
+
+
+def compatible(
+    q: Quiver, x: ComplexVertex, y: ComplexVertex, field: Field, seed: int = 0
+) -> bool:
+    """Pairwise virtual semi-tilting condition, with sampled generic ext.
+
+    Two roots: vanishing generic ext both ways; a shifted vertex follows
+    `_shifted_compatible`.  Holds on any acyclic quiver; `build_complex` uses
+    the Dynkin closed form instead.
+    """
     if x.kind == "shifted" or y.kind == "shifted":
-        root, shifted = (y, x) if x.kind == "shifted" else (x, y)
-        return root.vector[shifted.vertex] == 0
-    if exact:
-        return (
-            exact_root_ext(q, x.vector, y.vector, field, seed) == 0
-            and exact_root_ext(q, y.vector, x.vector, field, seed) == 0
-        )
+        return _shifted_compatible(x, y)
     return (
         cached_generic_ext(q, x.vector, y.vector, field) == 0
         and cached_generic_ext(q, y.vector, x.vector, field) == 0
@@ -222,53 +205,55 @@ def primitive_ray(vec) -> DimVector:
     return tuple(int(x) // g for x in vec)
 
 
-def build_complex(
-    q: Quiver, field: Field, seed: int = 0, exact: bool = False
-) -> TiltingComplex:
+def _dynkin_compatible(q: Quiver, x: ComplexVertex, y: ComplexVertex) -> bool:
+    """Closed form on a Dynkin quiver.  The AR quiver is directed, so hom and
+    ext between indecomposables are never both nonzero: ext(a, b) =
+    max(0, -<a, b>), and two roots are compatible iff both forms are >= 0."""
+    if x.kind == "shifted" or y.kind == "shifted":
+        return _shifted_compatible(x, y)
+    return (
+        euler_form(q, x.vector, y.vector) >= 0
+        and euler_form(q, y.vector, x.vector) >= 0
+    )
+
+
+def build_complex(q: Quiver, field: Field, seed: int = 0) -> TiltingComplex:
     """Clique complex of the compatibility graph, with build-time invariants.
 
-    Every maximal clique must have exactly n vertices with linearly
-    independent lambda vectors; a violation (a wrong randomized ext verdict)
-    triggers one rebuild with a fresh seed before giving up.
+    Compatibility is exact Euler-form arithmetic, so the complex does not
+    depend on `field` or `seed`; both are kept for `verify_sphere`'s covering
+    test.  Every maximal clique must have exactly n vertices whose lambda
+    vectors form a Z-basis (|det| = 1).
     """
     _require_dynkin(q)
-    last_error: InvariantViolationError | None = None
-    for attempt_seed in (seed, seed + 1):
-        verts = complex_vertices(q)
-        nv = len(verts)
-        adj: list[set[int]] = [set() for _ in range(nv)]
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                if compatible(q, verts[i], verts[j], field, attempt_seed, exact):
-                    adj[i].add(j)
-                    adj[j].add(i)
-        facets = _max_cliques(adj, nv)
-        try:
-            for facet in facets:
-                if len(facet) != q.n:
-                    raise InvariantViolationError(
-                        f"maximal clique {facet} has size {len(facet)}, not {q.n}"
-                    )
-                rank = linalg.int_rank([list(verts[i].lam) for i in facet])
-                if rank != q.n:
-                    raise InvariantViolationError(
-                        f"facet {facet} has dependent lambda vectors"
-                    )
-        except InvariantViolationError as exc:
-            last_error = exc
-            continue
-        compat = tuple(
-            tuple(j in adj[i] for j in range(nv)) for i in range(nv)
-        )
-        return TiltingComplex(
-            quiver=q,
-            field=field,
-            seed=attempt_seed,
-            vertices=verts,
-            facets=tuple(facets),
-            compat=compat,
-        )
-    raise last_error
+    verts = complex_vertices(q)
+    nv = len(verts)
+    adj: list[set[int]] = [set() for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            if _dynkin_compatible(q, verts[i], verts[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+    facets = _max_cliques(adj, nv)
+    for facet in facets:
+        if len(facet) != q.n:
+            raise InvariantViolationError(
+                f"maximal clique {facet} has size {len(facet)}, not {q.n}"
+            )
+        det = linalg.int_bareiss_det([verts[i].lam for i in facet])
+        if abs(det) != 1:
+            raise InvariantViolationError(
+                f"facet {facet} has lambda determinant {det}, not +-1"
+            )
+    compat = tuple(tuple(j in adj[i] for j in range(nv)) for i in range(nv))
+    return TiltingComplex(
+        quiver=q,
+        field=field,
+        seed=seed,
+        vertices=verts,
+        facets=tuple(facets),
+        compat=compat,
+    )
 
 
 # ------------------------------------------------------------------- lambda
@@ -323,12 +308,12 @@ class SphereReport:
         return not self.failures
 
 
-def _collect_faces(c: TiltingComplex) -> set[frozenset[int]]:
-    faces: set[frozenset[int]] = set()
+def _collect_faces(c: TiltingComplex) -> set[tuple[int, ...]]:
+    """Nonempty faces as sorted tuples (facets are sorted, so combinations are)."""
+    faces: set[tuple[int, ...]] = set()
     for facet in c.facets:
         for size in range(1, len(facet) + 1):
-            for sub in itertools.combinations(facet, size):
-                faces.add(frozenset(sub))
+            faces.update(itertools.combinations(facet, size))
     return faces
 
 
@@ -345,19 +330,15 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     failures: list[str] = []
     if any(len(f) != n for f in c.facets):
         failures.append("impure: facet of wrong size")
-    ridge_count: dict[tuple[int, ...], int] = {}
-    for facet in c.facets:
+    by_ridge: dict[tuple[int, ...], list[int]] = {}
+    for fi, facet in enumerate(c.facets):
         for ridge in itertools.combinations(facet, n - 1):
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    bad = [r for r, k in ridge_count.items() if k != 2]
+            by_ridge.setdefault(ridge, []).append(fi)
+    bad = [r for r, members in by_ridge.items() if len(members) != 2]
     if bad:
         failures.append(f"{len(bad)} ridges not in exactly 2 facets")
     # connectivity of the facet adjacency graph (shared ridge = adjacency)
     if c.facets:
-        by_ridge: dict[tuple[int, ...], list[int]] = {}
-        for fi, facet in enumerate(c.facets):
-            for ridge in itertools.combinations(facet, n - 1):
-                by_ridge.setdefault(ridge, []).append(fi)
         neighbors: list[set[int]] = [set() for _ in c.facets]
         for members in by_ridge.values():
             for a, b in itertools.combinations(members, 2):
@@ -431,21 +412,21 @@ def wall_labels(
     c: TiltingComplex,
 ) -> dict[tuple[int, ...], tuple[DimVector, ...]]:
     """For each ridge, the positive roots beta with all lambda vectors
-    perpendicular to beta; nonempty by the wall theorem."""
+    perpendicular to beta (<lam, beta> = 0), in root order; nonempty by the
+    wall theorem."""
     q = c.quiver
     roots = positive_roots(q)
+    perp = [
+        {k for k, beta in enumerate(roots) if euler_form(q, v.lam, beta) == 0}
+        for v in c.vertices
+    ]
+    everything = set(range(len(roots)))
     out: dict[tuple[int, ...], tuple[DimVector, ...]] = {}
     for ridge in c.ridges():
-        labels = tuple(
-            beta
-            for beta in roots
-            if all(
-                euler_form(q, c.vertices[i].lam, beta) == 0 for i in ridge
-            )
-        )
-        if not labels:
+        common = everything.intersection(*(perp[i] for i in ridge))
+        if not common:
             raise EmptyLabelError(f"ridge {ridge} received no label")
-        out[ridge] = labels
+        out[ridge] = tuple(roots[k] for k in sorted(common))
     return out
 
 

@@ -90,8 +90,14 @@ class Field:
         return self.name
 
 
+# Entries below 2^31 keep every product of two in int64; gf_mm chunks sums.
+_PRIME_LIMIT = 2**31
+
+
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= _PRIME_LIMIT:
+            raise ParseError(f"field size {p} is too large: primes must be below 2^31")
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ParseError(f"field size {p} is not prime")
         self.p = p

@@ -72,7 +72,16 @@ def gf_eye(n: int) -> np.ndarray:
 
 
 def gf_mm(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a @ b) % p
+    """Product mod p.  Entries are below p, so an int64 dot product of length
+    k is exact while k*(p-1)^2 < 2^63; longer ones are summed in chunks."""
+    k = a.shape[1]
+    if k * (p - 1) ** 2 < 2**63:
+        return (a @ b) % p
+    step = (2**63 - 1) // (p - 1) ** 2
+    out = gf_zeros(a.shape[0], b.shape[1])
+    for s in range(0, k, step):
+        out = (out + (a[:, s : s + step] @ b[s : s + step]) % p) % p
+    return out
 
 
 def gf_rref(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,40 @@ def test_complex_subcommands(capsys, tmp_path):
     assert out.startswith("v ")
 
 
+@pytest.mark.parametrize("field", ["fp:2", "fp:3"])
+def test_d4_complex_builds_over_small_primes(capsys, tmp_path, field):
+    # the complex comes from Euler-form arithmetic, so it is field-free
+    path = tmp_path / "d4.quiver"
+    path.write_text("1 -> 4\n2 -> 4\n3 -> 4\n", encoding="utf-8")
+    build = ("--quiver", str(path), "--format", "json", "complex", "build")
+    code, out, err = _run(capsys, "--field", field, *build)
+    assert code == 0, err
+    facets = json.loads(out)["facets"]
+    assert len(facets) == 50
+    code, out, _ = _run(capsys, "--field", "fp:32003", *build)
+    assert code == 0
+    assert json.loads(out)["facets"] == facets
+
+
+def test_large_prime_decomposes_like_the_default(capsys):
+    argv = ("--format", "json", "decompose", "--", "-1,2,3")
+    code, out, err = _run(capsys, "--field", "fp:2147483647", *argv)
+    assert code == 0, err
+    big = json.loads(out)
+    code, out, _ = _run(capsys, "--field", "fp:32003", *argv)
+    assert code == 0
+    small = json.loads(out)
+    assert sorted(big["parts"]) == sorted(small["parts"]) == [[0, 1, 2], [0, 2, 3]]
+    assert big["gamma"] == small["gamma"] == [1, 0, 0]
+
+
+def test_too_large_prime_exits_one_promptly(capsys):
+    start = time.perf_counter()
+    code, _, err = _run(capsys, "--field", "fp:2305843009213693951", "euler")
+    assert code == 1 and "too large" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_domain_errors_exit_one(capsys, tmp_path):
     # non-Dynkin default quiver
     code, _, err = _run(capsys, "roots")
@@ -131,7 +166,8 @@ def test_selftest_passes(capsys):
     code, out, _ = _run(capsys, "selftest")
     assert code == 0
     assert "selftest passed" in out
-    assert out.count("ok:") == 6
+    assert out.count("ok:") == 7
+    assert "ok: E6 complex" in out
 
 
 def test_entry_point_and_seed_env(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -26,12 +27,38 @@ from vsi import (
     positive_roots,
     primitive_ray,
     proj_vector,
-    reflection_closure_roots,
     ridge_cone_contains,
+    tits_form,
     truncated_compatibility,
     verify_sphere,
     wall_labels,
 )
+
+# one orientation each of A5, D5, E6, E7 and E8
+A5 = Quiver(list("12345"), [("1", "2"), ("3", "2"), ("3", "4"), ("5", "4")])
+D5 = Quiver(list("12345"), [("1", "3"), ("2", "3"), ("3", "4"), ("4", "5")])
+E6 = Quiver(
+    list("123456"), [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("6", "3")]
+)
+E7 = Quiver(
+    list("1234567"),
+    [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("7", "3")],
+)
+E8 = Quiver(
+    list("12345678"),
+    [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("6", "7"),
+     ("8", "3")],
+)
+
+
+def brute_force_roots(q):
+    """Reference enumerator: scan the box of entries 0..6 (the largest
+    coordinate of any ADE highest root) for tits_form = 1, lexicographic."""
+    return tuple(
+        alpha
+        for alpha in itertools.product(range(7), repeat=q.n)
+        if any(alpha) and tits_form(q, alpha) == 1
+    )
 
 
 def test_is_dynkin_classification(a2, a3, a4, d4, ex_quiver):
@@ -49,9 +76,9 @@ def test_positive_root_counts(a2, a3, a4, d4):
     assert len(positive_roots(d4)) == 12
 
 
-def test_positive_roots_match_reflection_closure(a3, a3_alt, d4, d4_out):
-    for q in (a3, a3_alt, d4, d4_out):
-        assert set(positive_roots(q)) == set(reflection_closure_roots(q))
+def test_positive_roots_match_brute_force_oracle(a3, a3_alt, d4, d4_out):
+    for q in (a3, a3_alt, d4, d4_out, A5, D5, E6):
+        assert positive_roots(q) == brute_force_roots(q), q.arrows
 
 
 def test_positive_roots_requires_dynkin(ex_quiver):
@@ -105,13 +132,31 @@ def test_three_vertex_and_d4_counts(a3, d4, gf):
 
 
 def test_exact_and_randomized_compatibility_agree(a3, d4, gf):
+    # build_complex uses the Euler-form closed form; check it on every pair
+    # against the sampled ext and the Schur-witness ext oracle
     for q in (a3, d4):
-        verts = complex_vertices(q)
+        c = build_complex(q, gf)
+        verts = c.vertices
+        assert verts == complex_vertices(q)
         for i in range(len(verts)):
+            assert not c.compat[i][i]
             for j in range(i + 1, len(verts)):
-                fast = compatible(q, verts[i], verts[j], gf)
-                slow = compatible(q, verts[i], verts[j], gf, exact=True)
-                assert fast == slow, (q.names, verts[i], verts[j])
+                x, y = verts[i], verts[j]
+                closed = c.compat[i][j]
+                assert closed == c.compat[j][i]
+                assert closed == compatible(q, x, y, gf), (q.names, x, y)
+                if x.kind == "root" and y.kind == "root":
+                    exact = (
+                        exact_root_ext(q, x.vector, y.vector, gf) == 0
+                        and exact_root_ext(q, y.vector, x.vector, gf) == 0
+                    )
+                else:
+                    shifted = x if x.kind == "shifted" else y
+                    other = y if shifted is x else x
+                    exact = other.kind == "shifted" or (
+                        other.vector[shifted.vertex] == 0
+                    )
+                assert closed == exact, (q.names, x, y)
 
 
 def test_exact_root_ext_matches_euler_form_defect(a3, gf):
@@ -140,6 +185,24 @@ def test_verify_sphere_smoke(a2, a3, gf):
         report = verify_sphere(build_complex(q, gf))
         assert report.ok, report.failures
         assert report.euler_characteristic == chi
+
+
+def test_e7_complex_counts_walls_and_sphere(gf):
+    c = build_complex(E7, gf)
+    assert len(c.facets) == 4160
+    assert len(c.vertices) == 63 + 7
+    labels = wall_labels(c)
+    assert set(labels) == set(c.ridges())
+    assert all(labels.values())
+    report = verify_sphere(c, samples=0)
+    assert report.ok, report.failures
+    assert report.euler_characteristic == 2
+
+
+def test_e8_complex_builds_with_associahedron_facet_count(gf):
+    c = build_complex(E8, gf)
+    assert len(c.facets) == 25080
+    assert len(c.vertices) == 120 + 8
 
 
 def test_lambda_point_normalizes_and_validates(a2, gf):

@@ -33,6 +33,12 @@ def test_parse_field_rejects_bad_specs():
         parse_field("gf8")
 
 
+def test_prime_field_bounds_primes_below_two_to_the_31():
+    assert parse_field("fp:2147483647").p == 2**31 - 1
+    with pytest.raises(ParseError, match="too large"):
+        parse_field("fp:2147483648")
+
+
 def test_prime_field_scalar_arithmetic():
     f = prime_field(7)
     assert f.canon(-1) == 6

@@ -96,6 +96,21 @@ def test_gf_rref_produces_reduced_echelon_and_rank():
             assert col[k] == 1 and int(np.count_nonzero(col)) == 1
 
 
+def test_gf_mm_exact_for_primes_near_two_to_the_31():
+    big = 2**31 - 1  # prime; (p-1)^2 is just under 2^62
+    a = gf_mat(big, [[big - 1] * 4])
+    b = gf_mat(big, [[big - 1]] * 4)
+    assert int(gf_mm(big, a, b)[0, 0]) == 4 * (big - 1) ** 2 % big == 4
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, big, size=(3, 9))
+    b = rng.integers(0, big, size=(9, 2))
+    expected = [
+        [sum(int(a[i, t]) * int(b[t, j]) for t in range(9)) % big for j in range(2)]
+        for i in range(3)
+    ]
+    assert gf_mm(big, a, b).tolist() == expected
+
+
 def test_gf_kernel_vectors_annihilate_and_span():
     rng = np.random.default_rng(6)
     for _ in range(20):
