@@ -205,7 +205,7 @@ def _cmd_support(args) -> int:
     alpha = _parse_vec(args.alpha, q.n)
     beta = _parse_vec(args.beta, q.n)
     field = parse_field(args.field)
-    system = d_beta_halfspaces(q, beta, field, seed=args.seed)
+    system = d_beta_halfspaces(q, beta, field)
     member = system.contains(alpha)
     lines = [f"member:{str(member).lower()}"]
     if args.halfspaces:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .decomposition import cached_generic_ext, d_membership, generic_decomposition
+from .decomposition import cached_generic_ext, generic_decomposition
 from .errors import (
     EmptyLabelError,
     InvariantViolationError,

@@ -154,7 +154,7 @@ def is_schur_root(
     )
 
 
-def subrep_test(q: Quiver, b_sub, b, field: Field, seed: int = 0) -> bool:
+def subrep_test(q: Quiver, b_sub, b, field: Field) -> bool:
     """Whether the general representation of b has a subrep of dimension b_sub
     (ext-vanishing criterion: ext(b_sub, b - b_sub) = 0 generically)."""
     b_sub = check_nonneg(q, b_sub)
@@ -182,9 +182,7 @@ class HalfSpaceSystem:
         )
 
 
-def d_beta_halfspaces(
-    q: Quiver, b, field: Field, seed: int = 0
-) -> HalfSpaceSystem:
+def d_beta_halfspaces(q: Quiver, b, field: Field) -> HalfSpaceSystem:
     """Equality E.beta and one inequality E.beta' per subrep vector beta'."""
     b = check_nonneg(q, b)
     if all(x == 0 for x in b):
@@ -195,7 +193,7 @@ def d_beta_halfspaces(
     subreps = tuple(
         bp
         for bp in itertools.product(*boxes)
-        if any(bp) and bp != b and subrep_test(q, bp, b, field, seed)
+        if any(bp) and bp != b and subrep_test(q, bp, b, field)
     )
     return HalfSpaceSystem(
         beta=b,
@@ -208,12 +206,12 @@ def d_beta_halfspaces(
 _halfspace_cache: dict[tuple, HalfSpaceSystem] = {}
 
 
-def d_membership(q: Quiver, a, b, field: Field, seed: int = 0) -> bool:
+def d_membership(q: Quiver, a, b, field: Field) -> bool:
     """Exact integer test of a against the halfspace system of D(b)."""
     a = check_dim_vector(q, a)
-    key = (q, field.name, tuple(int(x) for x in b), seed)
+    key = (q, field.name, tuple(int(x) for x in b))
     if key not in _halfspace_cache:
-        _halfspace_cache[key] = d_beta_halfspaces(q, b, field, seed)
+        _halfspace_cache[key] = d_beta_halfspaces(q, b, field)
     return _halfspace_cache[key].contains(a)
 
 

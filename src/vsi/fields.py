@@ -34,7 +34,13 @@ def derive_rng(seed: int, *salts) -> np.random.Generator:
 
 
 class Field:
-    """Shared scalar conveniences; matrix work lives in the subclasses."""
+    """Operations written once over the per-field primitives.
+
+    Subclasses supply scalars and the matrix kernels that really differ
+    between backends (`zeros`, `eye`, `mm`, `neg`, `rref`, `det`,
+    `charpoly`, ...); rank, kernel, solve, column space, inverse and matrix
+    power are derived here from `rref` and `mm`.
+    """
 
     name: str
     char: int
@@ -44,17 +50,6 @@ class Field:
 
     def s_sub(self, a, b):
         return self.s_add(a, self.s_neg(b))
-
-    def s_div(self, a, b):
-        return self.s_mul(a, self.s_inv(b))
-
-    def s_pow(self, a, e: int):
-        if e < 0:
-            return self.s_pow(self.s_inv(a), -e)
-        out = self.one
-        for _ in range(e):
-            out = self.s_mul(out, a)
-        return out
 
     def is_zero(self, a: np.ndarray) -> bool:
         return all(self.s_eq(x, self.zero) for x in a.flat)
@@ -66,9 +61,6 @@ class Field:
 
     def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
         return a.shape == b.shape and self.is_zero(self.sub(a, b))
-
-    def to_lists(self, a: np.ndarray) -> list[list]:
-        return [[self.canon(x) for x in row] for row in a]
 
     def mat_to_str(self, a: np.ndarray) -> list[list[str]]:
         return [[self.elem_to_str(x) for x in row] for row in a]
@@ -85,6 +77,57 @@ class Field:
             for j in range(n):
                 a[i, j] = self.canon(rows[i][j])
         return a
+
+    def rank(self, a: np.ndarray) -> int:
+        return len(self.rref(a)[1])
+
+    def kernel(self, a: np.ndarray) -> np.ndarray:
+        """Columns form a basis of the right null space."""
+        n = a.shape[1]
+        r, pivots = self.rref(a)
+        pivset = set(pivots)
+        free = [c for c in range(n) if c not in pivset]
+        k = self.zeros(n, len(free))
+        k[free, range(len(free))] = self.one
+        k[pivots] = self.neg(r[: len(pivots)][:, free])
+        return k
+
+    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """One solution of a@x = b (free variables zero), or None."""
+        n = a.shape[1]
+        r, pivots = self.rref(np.concatenate([a, b], axis=1))
+        if pivots and pivots[-1] >= n:
+            return None
+        x = self.zeros(n, b.shape[1])
+        x[pivots] = r[: len(pivots), n:]
+        return x
+
+    def column_space(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced column-echelon basis of the column space, plus its pivot rows."""
+        r, pivots = self.rref(a.T)
+        return r[: len(pivots)].T.copy(), pivots
+
+    def inv(self, a: np.ndarray) -> np.ndarray | None:
+        n = a.shape[0]
+        r, pivots = self.rref(np.concatenate([a, self.eye(n)], axis=1))
+        if pivots[:n] != list(range(n)):
+            return None
+        return r[:, n:]
+
+    def matpow(self, a: np.ndarray, e: int) -> np.ndarray:
+        result = self.eye(a.shape[0])
+        while e:
+            if e & 1:
+                result = self.mm(result, a)
+            a = self.mm(a, a)
+            e >>= 1
+        return result
+
+    def rand_invertible(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        while True:
+            a = self.rand_mat(rng, n, n)
+            if self.det(a) != 0:
+                return a
 
     def __repr__(self) -> str:
         return self.name
@@ -174,26 +217,8 @@ class PrimeField(Field):
     def rref(self, a):
         return linalg.gf_rref(self.p, a)
 
-    def rank(self, a):
-        return linalg.gf_rank(self.p, a)
-
-    def kernel(self, a):
-        return linalg.gf_kernel(self.p, a)
-
-    def solve(self, a, b):
-        return linalg.gf_solve(self.p, a, b)
-
-    def column_space(self, a):
-        return linalg.gf_column_space(self.p, a)
-
     def det(self, a):
         return linalg.gf_det(self.p, a)
-
-    def inv(self, a):
-        return linalg.gf_inv(self.p, a)
-
-    def matpow(self, a, e):
-        return linalg.gf_matpow(self.p, a, e)
 
     def charpoly(self, a):
         return linalg.gf_charpoly(self.p, a)
@@ -201,20 +226,11 @@ class PrimeField(Field):
     def poly_mul(self, f, g):
         return linalg.gf_poly_mul(self.p, f, g)
 
-    def poly_roots(self, f, seed: int = 0):
-        return linalg.gf_poly_roots(self.p, f, seed)
-
     def poly_factors(self, f):
         return linalg.gf_poly_factors(self.p, f)
 
     def rand_mat(self, rng: np.random.Generator, m: int, n: int):
         return rng.integers(0, self.p, size=(m, n), dtype=np.int64)
-
-    def rand_invertible(self, rng: np.random.Generator, n: int):
-        while True:
-            a = self.rand_mat(rng, n, n)
-            if self.det(a) != 0:
-                return a
 
 
 class Rationals(Field):
@@ -294,40 +310,14 @@ class Rationals(Field):
     def rref(self, a):
         return linalg.qq_rref(a)
 
-    def rank(self, a):
-        return linalg.qq_rank(a)
-
-    def kernel(self, a):
-        return linalg.qq_kernel(a)
-
-    def solve(self, a, b):
-        return linalg.qq_solve(a, b)
-
-    def column_space(self, a):
-        return linalg.qq_column_space(a)
-
     def det(self, a):
         return linalg.qq_det(a)
-
-    def inv(self, a):
-        return linalg.qq_inv(a)
-
-    def matpow(self, a, e):
-        return linalg.qq_matpow(a, e)
 
     def charpoly(self, a):
         return linalg.qq_charpoly(a)
 
     def poly_mul(self, f, g):
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-        return out
-
-    def poly_roots(self, f, seed: int = 0):
-        return linalg.rational_roots(f)
+        return linalg.qq_poly_mul(f, g)
 
     def poly_factors(self, f):
         return linalg.qq_poly_factors(f)
@@ -339,12 +329,6 @@ class Rationals(Field):
             for j in range(n):
                 a[i, j] = Fraction(int(raw[i, j]))
         return a
-
-    def rand_invertible(self, rng: np.random.Generator, n: int):
-        while True:
-            a = self.rand_mat(rng, n, n)
-            if self.det(a) != 0:
-                return a
 
 
 QQ = Rationals()

@@ -1,14 +1,15 @@
-"""Exact linear algebra kernels.
+"""Per-field exact kernels: elimination, products, determinants, polynomials.
 
 Three coefficient domains, three backends: plain python ints (Euler matrices,
-Bareiss determinants), numpy int64 arrays reduced mod a prime (all products fit
-in 64 bits for p = 32003 at any inner dimension reachable here), and numpy
-object arrays of Fractions for the rational field.
+Bareiss determinants), numpy int64 arrays reduced mod a prime (`gf_mm` sums
+long products in chunks so they stay in 64 bits), and numpy object arrays of
+Fractions for the rational field.  Operations derived from these kernels
+(rank, kernel, solve, column space, inverse, matrix power) are written once on
+`vsi.fields.Field`.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -108,43 +109,6 @@ def gf_rref(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def gf_rank(p: int, a: np.ndarray) -> int:
-    return len(gf_rref(p, a)[1])
-
-
-def gf_kernel(p: int, a: np.ndarray) -> np.ndarray:
-    """Columns form a basis of the right null space."""
-    _, n = a.shape
-    r, pivots = gf_rref(p, a)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    k = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        k[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            k[pc, j] = (-r[i, fc]) % p
-    return k
-
-
-def gf_solve(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a@x = b (free variables zero), or None."""
-    m, n = a.shape
-    aug = np.concatenate([a % p, b % p], axis=1)
-    r, pivots = gf_rref(p, aug)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
-    return x
-
-
-def gf_column_space(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced column-echelon basis of the column space, plus its pivot rows."""
-    r, pivots = gf_rref(p, a.T)
-    return r[: len(pivots)].T.copy(), pivots
-
-
 def gf_det(p: int, a: np.ndarray) -> int:
     m, n = a.shape
     if m != n:
@@ -170,15 +134,9 @@ def gf_det(p: int, a: np.ndarray) -> int:
     return det
 
 
-def gf_inv(p: int, a: np.ndarray) -> np.ndarray | None:
-    n = a.shape[0]
-    r, pivots = gf_rref(p, np.concatenate([a % p, gf_eye(n)], axis=1))
-    if len(pivots) < n or pivots[n - 1] != n - 1:
-        return None
-    return r[:, n:]
-
-
 def gf_matpow(p: int, a: np.ndarray, e: int) -> np.ndarray:
+    """a^e mod p by squaring.  The library uses `Field.matpow`; this stays as
+    a named span for the benchmark's tracer (`bench/spans.py`)."""
     result = gf_eye(a.shape[0])
     base = a % p
     while e:
@@ -264,13 +222,6 @@ def gf_poly_powmod(p: int, base: list[int], e: int, mod: list[int]) -> list[int]
     return result
 
 
-def gf_poly_eval(p: int, f: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
     """Characteristic polynomial via Hessenberg reduction, monic, low first."""
     n = a.shape[0]
@@ -302,53 +253,6 @@ def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
                 term = gf_poly_sub(p, term, gf_poly_scale(p, coef, polys[i - 1]))
         polys.append(term)
     return polys[n]
-
-
-_BRUTE_ROOT_BOUND = 3000
-
-
-def gf_poly_roots(p: int, f: list[int], seed: int = 0) -> list[int]:
-    """Distinct roots in GF(p), via gcd with x^p-x and equal-degree splitting."""
-    f = _gf_trim([c % p for c in f])
-    if len(f) == 1:
-        return []
-    roots: set[int] = set()
-    t = 0
-    while t < len(f) and f[t] == 0:
-        t += 1
-    if t:
-        roots.add(0)
-        f = f[t:]
-    if len(f) == 1:
-        return sorted(roots)
-    if p <= _BRUTE_ROOT_BOUND:
-        roots.update(x for x in range(p) if gf_poly_eval(p, f, x) == 0)
-        return sorted(roots)
-    f = gf_poly_scale(p, pow(f[-1], -1, p), f)
-    xp = gf_poly_powmod(p, [0, 1], p, f)
-    g = gf_poly_gcd(p, gf_poly_sub(p, xp, [0, 1]), f)
-    if len(g) == 1:
-        return sorted(roots)
-    rng = random.Random(seed ^ 0x9E3779B9)
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        d = len(h) - 1
-        if d == 0:
-            continue
-        if d == 1:
-            roots.add((-h[0] * pow(h[1], -1, p)) % p)
-            continue
-        while True:
-            shift = rng.randrange(p)
-            w = gf_poly_powmod(p, [shift, 1], (p - 1) // 2, h)
-            w = gf_poly_sub(p, w, [1])
-            w = gf_poly_gcd(p, w, h)
-            if 0 < len(w) - 1 < d:
-                stack.append(w)
-                stack.append(gf_poly_divmod(p, h, w)[0])
-                break
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------- rationals
@@ -404,40 +308,6 @@ def qq_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def qq_rank(a: np.ndarray) -> int:
-    return len(qq_rref(a)[1])
-
-
-def qq_kernel(a: np.ndarray) -> np.ndarray:
-    _, n = a.shape
-    r, pivots = qq_rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    k = qq_zeros(n, len(free))
-    for j, fc in enumerate(free):
-        k[fc, j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            k[pc, j] = -Fraction(r[i, fc])
-    return k
-
-
-def qq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    m, n = a.shape
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = qq_rref(aug)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = qq_zeros(n, b.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
-    return x
-
-
-def qq_column_space(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    r, pivots = qq_rref(a.T)
-    return r[: len(pivots)].T.copy(), pivots
-
-
 def qq_det(a: np.ndarray) -> Fraction:
     m, n = a.shape
     if m != n:
@@ -453,23 +323,13 @@ def qq_det(a: np.ndarray) -> Fraction:
     return Fraction(int_bareiss_det(rows), denom)
 
 
-def qq_inv(a: np.ndarray) -> np.ndarray | None:
-    n = a.shape[0]
-    r, pivots = qq_rref(np.concatenate([a, qq_eye(n)], axis=1))
-    if len(pivots) < n or pivots[n - 1] != n - 1:
-        return None
-    return r[:, n:]
-
-
-def qq_matpow(a: np.ndarray, e: int) -> np.ndarray:
-    result = qq_eye(a.shape[0])
-    base = a
-    while e:
-        if e & 1:
-            result = qq_mm(result, base)
-        base = qq_mm(base, base)
-        e >>= 1
-    return result
+def qq_poly_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
 
 
 def qq_charpoly(a: np.ndarray) -> list[Fraction]:
@@ -490,19 +350,10 @@ def qq_charpoly(a: np.ndarray) -> list[Fraction]:
                 f = Fraction(h[i, j]) / Fraction(h[j + 1, j])
                 h[i] = h[i] - f * h[j + 1]
                 h[:, j + 1] = h[:, j + 1] + f * h[:, i]
-    zero, one = Fraction(0), Fraction(1)
-
-    def pmul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-        out = [zero] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-        return out
-
+    one = Fraction(1)
     polys: list[list[Fraction]] = [[one]]
     for k in range(1, n + 1):
-        term = pmul([-Fraction(h[k - 1, k - 1]), one], polys[k - 1])
+        term = qq_poly_mul([-Fraction(h[k - 1, k - 1]), one], polys[k - 1])
         prod_sub = one
         for i in range(k - 1, 0, -1):
             prod_sub = prod_sub * Fraction(h[i, i - 1])
@@ -513,21 +364,6 @@ def qq_charpoly(a: np.ndarray) -> list[Fraction]:
                     term[idx] -= c
         polys.append(term)
     return polys[n]
-
-
-def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of an exact polynomial (delegated to sympy)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(
-        sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x**i
-        for i, c in enumerate(coeffs)
-    )
-    if expr == 0:
-        return []
-    found = sympy.roots(sympy.Poly(expr, x), filter="Q")
-    return sorted(Fraction(int(r.p), int(r.q)) for r in found)
 
 
 def gf_poly_factors(p: int, f: list[int]) -> list[tuple[list[int], int]]:

@@ -63,11 +63,6 @@ def _euler_transpose_apply(q: Quiver, a) -> DimVector:
     return apply_int_matrix(tuple(zip(*e)), a)
 
 
-def _proj_mat_apply(q: Quiver, gamma) -> DimVector:
-    """(E^t)^{-1} gamma = the dimension vector of P(gamma)."""
-    return apply_int_matrix(euler_data(q).et_inv, gamma)
-
-
 @dataclass(frozen=True)
 class ProjDecomp:
     """A pair (gamma0, gamma1) >= 0 with E^t alpha = gamma0 - gamma1."""

@@ -5,40 +5,30 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import pytest
 
+from vsi import GF, QQ
 from vsi.linalg import (
     gf_charpoly,
     gf_det,
     gf_eye,
-    gf_inv,
-    gf_kernel,
     gf_mat,
     gf_mm,
     gf_poly_divmod,
-    gf_poly_eval,
     gf_poly_factors,
     gf_poly_gcd,
     gf_poly_mul,
-    gf_poly_roots,
-    gf_rank,
     gf_rref,
-    gf_solve,
     int_bareiss_det,
     int_rank,
     leading_minors,
     qq_charpoly,
-    qq_det,
-    qq_inv,
-    qq_kernel,
     qq_mat,
-    qq_mm,
     qq_poly_factors,
-    qq_rank,
-    qq_solve,
-    rational_roots,
 )
 
 P = 32003
+FIELDS = pytest.mark.parametrize("field", [GF, QQ], ids=lambda f: f.name)
 
 
 def _permanent_style_det(rows) -> Fraction:
@@ -90,7 +80,7 @@ def test_gf_rref_produces_reduced_echelon_and_rank():
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         a = gf_mat(P, rng.integers(0, P, size=(m, n)))
         r, pivots = gf_rref(P, a)
-        assert gf_rank(P, a) == len(pivots)
+        assert GF.rank(a) == len(pivots)
         for k, j in enumerate(pivots):
             col = r[:, j]
             assert col[k] == 1 and int(np.count_nonzero(col)) == 1
@@ -111,24 +101,56 @@ def test_gf_mm_exact_for_primes_near_two_to_the_31():
     assert gf_mm(big, a, b).tolist() == expected
 
 
-def test_gf_kernel_vectors_annihilate_and_span():
+@FIELDS
+def test_kernel_vectors_annihilate_and_span(field):
+    a = field.mat_of(3, 3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert field.rank(a) == 2
+    k = field.kernel(a)
+    assert k.shape == (3, 1) and field.is_zero(field.mm(a, k))
     rng = np.random.default_rng(6)
     for _ in range(20):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        a = gf_mat(P, rng.integers(0, P, size=(m, n)))
-        k = gf_kernel(P, a)
-        assert k.shape == (n, n - gf_rank(P, a))
+        # zeroing about a third of the entries gives rank-deficient cases too
+        raw = rng.integers(0, P, size=(m, n)) * rng.integers(0, 3, size=(m, n)).clip(0, 1)
+        a = field.mat_of(m, n, raw.tolist())
+        k = field.kernel(a)
+        assert k.shape == (n, n - field.rank(a))
         if k.shape[1]:
-            assert not gf_mm(P, a, k).any()
-            assert gf_rank(P, k) == k.shape[1]
+            assert field.is_zero(field.mm(a, k))
+            assert field.rank(k) == k.shape[1]
 
 
-def test_gf_solve_returns_solution_or_detects_inconsistency():
-    a = gf_mat(P, [[1, 2], [2, 4]])
-    assert gf_solve(P, a, gf_mat(P, [[1], [3]])) is None
-    b = gf_mat(P, [[1], [2]])
-    x = gf_solve(P, a, b)
-    assert x is not None and (gf_mm(P, a, x) == b).all()
+@FIELDS
+def test_solve_returns_solution_or_detects_inconsistency(field):
+    a = field.mat_of(2, 2, [[1, 2], [2, 4]])
+    assert field.solve(a, field.mat_of(2, 1, [[1], [3]])) is None
+    b = field.mat_of(2, 1, [[1], [2]])
+    x = field.solve(a, b)
+    assert x is not None and field.eq(field.mm(a, x), b)
+    a = field.mat_of(3, 3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    b = field.mat_of(3, 1, [[1], [2], [0]])
+    x = field.solve(a, b)
+    assert x is not None and field.eq(field.mm(a, x), b)
+    assert field.solve(a, field.mat_of(3, 1, [[1], [0], [0]])) is None
+
+
+@FIELDS
+def test_inverse_column_space_and_matpow(field):
+    assert field.inv(field.eye(0)).shape == (0, 0)
+    assert field.inv(field.mat_of(2, 2, [[1, 2], [2, 4]])) is None
+    rng = np.random.default_rng(12)
+    for n in range(1, 5):
+        a = field.rand_invertible(rng, n)
+        assert field.eq(field.mm(a, field.inv(a)), field.eye(n))
+        power = field.eye(n)
+        for e in range(5):
+            assert field.eq(field.matpow(a, e), power)
+            power = field.mm(power, a)
+    # columns (1,2,0) and (0,0,1) span the column space of this rank-2 matrix
+    a = field.mat_of(3, 3, [[1, 2, 0], [2, 4, 0], [0, 0, 5]])
+    basis, pivots = field.column_space(a)
+    assert pivots == [0, 2]
+    assert field.eq(basis, field.mat_of(3, 2, [[1, 0], [2, 0], [0, 1]]))
 
 
 def test_gf_det_and_inverse_consistency():
@@ -136,8 +158,8 @@ def test_gf_det_and_inverse_consistency():
     for _ in range(15):
         n = int(rng.integers(1, 6))
         a = gf_mat(P, rng.integers(0, P, size=(n, n)))
-        d = gf_det(P, a)
-        inv = gf_inv(P, a)
+        d = GF.det(a)
+        inv = GF.inv(a)
         if d == 0:
             assert inv is None
         else:
@@ -188,68 +210,33 @@ def test_gf_poly_arithmetic_round_trips():
         assert total == ftrim
 
 
-def test_gf_poly_roots_against_brute_force_small_prime():
-    p = 101
-    rng = random.Random(10)
-    for _ in range(15):
-        f = [rng.randrange(p) for _ in range(rng.randrange(2, 6))]
-        if not any(f[1:]):
-            f.append(1)
-        brute = sorted(x for x in range(p) if gf_poly_eval(p, f, x) == 0)
-        assert gf_poly_roots(p, f) == brute
-
-
-def test_gf_poly_roots_large_prime_split_from_known_factors():
+def test_gf_poly_gcd_extracts_shared_factor():
     # (x - 3)(x - 17)(x - 12345) expanded mod P
-    roots = [3, 17, 12345]
     f = [1]
-    for r in roots:
+    for r in (3, 17, 12345):
         f = gf_poly_mul(P, f, [(-r) % P, 1])
-    assert gf_poly_roots(P, f) == sorted(roots)
-    # gcd with a shared factor
     g = gf_poly_mul(P, [(-3) % P, 1], [5, 1])
     h = gf_poly_gcd(P, f, g)
     assert h == [(-3) % P, 1]
 
 
-def test_qq_rank_kernel_solve_mirror_gf_behaviour():
-    a = qq_mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert qq_rank(a) == 2
-    k = qq_kernel(a)
-    assert k.shape == (3, 1)
-    assert not any(x != 0 for x in qq_mm(a, k).flat)
-    b = qq_mat([[1], [2], [0]])
-    x = qq_solve(a, b)
-    assert x is not None
-    assert all(lhs == rhs for lhs, rhs in zip(qq_mm(a, x).flat, b.flat))
-    assert qq_solve(a, qq_mat([[1], [0], [0]])) is None
-
-
 def test_qq_det_and_inv_with_fractions():
     a = qq_mat([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
-    assert qq_det(a) == Fraction(1, 3)
-    inv = qq_inv(a)
-    prod = qq_mm(a, inv)
+    assert QQ.det(a) == Fraction(1, 3)
+    inv = QQ.inv(a)
+    prod = QQ.mm(a, inv)
     assert [x for x in prod.flat] == [1, 0, 0, 1]
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randrange(1, 5)
         rows = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n)]
-        assert qq_det(qq_mat(rows)) == _permanent_style_det(rows)
+        assert QQ.det(qq_mat(rows)) == _permanent_style_det(rows)
 
 
 def test_qq_charpoly_on_companion_style_matrix():
     a = qq_mat([[0, -6], [1, 5]])
     # char poly x^2 - 5x + 6
     assert qq_charpoly(a) == [Fraction(6), Fraction(-5), Fraction(1)]
-    assert rational_roots(qq_charpoly(a)) == [Fraction(2), Fraction(3)]
-
-
-def test_rational_roots_filters_irrational_ones():
-    # x^2 - 2 has no rational roots; (2x - 1)(x^2 - 2) has one
-    assert rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
-    coeffs = [Fraction(2), Fraction(-4), Fraction(-1), Fraction(2)]
-    assert rational_roots(coeffs) == [Fraction(1, 2)]
 
 
 def test_gf_poly_factors_round_trip_and_goldens():

@@ -128,6 +128,15 @@ def test_conjugate_rep_preserves_hom_dimensions(a3, gf):
     assert hom_dim(m, c) == end_dim(m)
 
 
+def test_conjugate_rep_handles_zero_dimension_entries(ex_quiver, gf, qq):
+    # the zero vertex carries a 0x0 base change, whose inverse is 0x0
+    for field in (gf, qq):
+        m = random_rep(ex_quiver, (1, 0, 2), field, seed=1)
+        c = conjugate_rep(m, random_glpoint(ex_quiver, (1, 0, 2), field, seed=2))
+        assert c.dim == m.dim
+        assert end_dim(c) == end_dim(m)
+
+
 def test_simple_rep_is_schur_sample(a3, gf):
     assert is_schur_sample(_simple(a3, gf, 1))
     m = direct_sum(_simple(a3, gf, 0), _simple(a3, gf, 0))
