@@ -36,7 +36,7 @@ from .quiver import (
 from .reps import (
     check_nonneg,
     end_dim,
-    fitting_decompose,
+    fitting_summands,
     generic_ext,
     random_rep,
 )
@@ -87,7 +87,7 @@ def generic_decomposition(
     for retry in range(max_retries):
         m = random_rep(q, mu, field, mix_seed(seed, "gd-sample", retry))
         try:
-            summands = fitting_decompose(m, mix_seed(seed, "gd-fit", retry))
+            summands = fitting_summands(m, mix_seed(seed, "gd-fit", retry))
         except SplitFailureError as exc:
             last_failure = str(exc)
             continue
@@ -106,7 +106,8 @@ def generic_decomposition(
 
 
 def _expand_summands(q, field, summands):
-    """Dimension-vector parts of a summand list, Galois orbits expanded.
+    """Dimension-vector parts of (summand, End dimension) pairs, Galois
+    orbits expanded.
 
     A summand with End = k contributes its dimension vector.  A summand whose
     End has dimension d > 1 must be an orbit of d conjugate Schur summands
@@ -116,8 +117,7 @@ def _expand_summands(q, field, summands):
     validation failure, reported as the second return value.
     """
     parts: list[DimVector] = []
-    for s in summands:
-        d = end_dim(s)
+    for s, d in summands:
         if d == 1:
             parts.append(s.dim)
             continue

@@ -33,6 +33,10 @@ class FieldMismatchError(VsiError):
     """Two objects over different coefficient fields were combined."""
 
 
+class FieldTooSmallError(VsiError):
+    """The prime field is too small for a computation's exactness argument."""
+
+
 class QuiverMismatchError(VsiError):
     pass
 

@@ -136,12 +136,40 @@ class Field:
 # Entries below 2^31 keep every product of two in int64; gf_mm chunks sums.
 _PRIME_LIMIT = 2**31
 
+# Miller-Rabin with these bases is exact below 3,215,031,751, the least strong
+# pseudoprime to all four (Jaeschke 1993), which covers every p < 2^31.
+_MILLER_RABIN_BASES = (2, 3, 5, 7)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
         if p >= _PRIME_LIMIT:
             raise ParseError(f"field size {p} is too large: primes must be below 2^31")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ParseError(f"field size {p} is not prime")
         self.p = p
         self.char = p
@@ -187,6 +215,9 @@ class PrimeField(Field):
         return int(rng.integers(0, self.p))
 
     # matrices
+    def eq(self, a, b) -> bool:
+        return a.shape == b.shape and np.array_equal(a % self.p, b % self.p)
+
     def zeros(self, m, n):
         return linalg.gf_zeros(m, n)
 

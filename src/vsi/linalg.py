@@ -10,6 +10,7 @@ Fractions for the rational field.  Operations derived from these kernels
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -99,11 +100,12 @@ def gf_rref(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        # the pivot row is zero left of c, so only columns c: change
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
         rows = np.nonzero(a[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -135,8 +137,8 @@ def gf_det(p: int, a: np.ndarray) -> int:
 
 
 def gf_matpow(p: int, a: np.ndarray, e: int) -> np.ndarray:
-    """a^e mod p by squaring.  The library uses `Field.matpow`; this stays as
-    a named span for the benchmark's tracer (`bench/spans.py`)."""
+    """a^e mod p by squaring; the Frobenius matrix of polynomial factoring
+    is built from one such power (`Field.matpow` serves representations)."""
     result = gf_eye(a.shape[0])
     base = a % p
     while e:
@@ -148,7 +150,7 @@ def gf_matpow(p: int, a: np.ndarray, e: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- GF(p) polys
-# coefficient lists, low degree first, trimmed
+# coefficient lists of python ints, low degree first, trimmed
 
 
 def _gf_trim(f: list[int]) -> list[int]:
@@ -179,8 +181,8 @@ def gf_poly_mul(p: int, f: list[int], g: list[int]) -> list[int]:
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _gf_trim(out)
+                out[i + j] += a * b
+    return _gf_trim([c % p for c in out])
 
 
 def gf_poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -194,12 +196,13 @@ def gf_poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[
         return [0], _gf_trim(f)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = f[k + len(g) - 1] * inv % p
+        # entries are reduced only when read, as leading coefficients or at the end
+        c = f[k + len(g) - 1] % p * inv % p
         quo[k] = c
         if c:
             for i, gc in enumerate(g):
-                f[k + i] = (f[k + i] - c * gc) % p
-    return _gf_trim(quo), _gf_trim(f[: len(g) - 1] or [0])
+                f[k + i] -= c * gc
+    return _gf_trim(quo), _gf_trim([c % p for c in f[: len(g) - 1]] or [0])
 
 
 def gf_poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
@@ -253,6 +256,139 @@ def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
                 term = gf_poly_sub(p, term, gf_poly_scale(p, coef, polys[i - 1]))
         polys.append(term)
     return polys[n]
+
+
+# ------------------------------------------------------ GF(p) factoring
+# Squarefree, distinct-degree and equal-degree (Cantor-Zassenhaus) splitting,
+# as in von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14.
+
+
+def _gf_quo(p: int, f: list[int], g: list[int]) -> list[int]:
+    return gf_poly_divmod(p, f, g)[0]
+
+
+def _gf_squarefree(p: int, f: list[int]) -> list[tuple[list[int], int]]:
+    """Pairs (g, m) with f = prod g^m, each g monic, squarefree and coprime
+    to the others, for a monic nonconstant f."""
+    df = _gf_trim([i * c % p for i, c in enumerate(f)][1:])
+    if df == [0]:
+        # every exponent is a multiple of p: f is the p-th power of f[::p]
+        return [(g, m * p) for g, m in _gf_squarefree(p, f[::p])]
+    out = []
+    c = gf_poly_gcd(p, f, df)
+    w = _gf_quo(p, f, c)
+    i = 1
+    while len(w) > 1:
+        y = gf_poly_gcd(p, w, c)
+        z = _gf_quo(p, w, y)
+        if len(z) > 1:
+            out.append((z, i))
+        i += 1
+        w = y
+        c = _gf_quo(p, c, y)
+    if len(c) > 1:
+        out += [(g, m * p) for g, m in _gf_squarefree(p, c[::p])]
+    return out
+
+
+def _gf_companion(p: int, h: list[int]) -> np.ndarray:
+    """Matrix of multiplication by x on GF(p)[x]/(h), monic h of degree n,
+    in the basis 1, x, ..., x^(n-1)."""
+    n = len(h) - 1
+    comp = gf_zeros(n, n)
+    comp[1:, :-1] = gf_eye(n - 1)
+    comp[:, -1] = [(-c) % p for c in h[:-1]]
+    return comp
+
+
+def _gf_krylov(p: int, op: np.ndarray, f: list[int]) -> np.ndarray:
+    """Columns f, op f, op^2 f, ..., for f a coefficient list."""
+    n = op.shape[0]
+    col = gf_zeros(n, 1)
+    col[: len(f), 0] = f
+    out = gf_zeros(n, n)
+    for j in range(n):
+        out[:, j] = col[:, 0]
+        col = gf_mm(p, op, col)
+    return out
+
+
+def _gf_frobenius(p: int, h: list[int]) -> np.ndarray:
+    """Matrix of a -> a^p on GF(p)[x]/(h): column j is x^(pj) mod h, built
+    from the p-th power of the companion matrix (multiplication by x^p)."""
+    return _gf_krylov(p, gf_matpow(p, _gf_companion(p, h), p), [1])
+
+
+def _gf_distinct_degree(p: int, h: list[int]) -> list[tuple[list[int], int]]:
+    """Pairs (g, d): g is the product of the degree-d irreducible factors of
+    the monic squarefree h, found as gcd(h, x^(p^d) - x)."""
+    n = len(h) - 1
+    if n == 1:
+        return [(h, 1)]
+    frob = _gf_frobenius(p, h)
+    xpow = gf_zeros(n, 1)  # x^(p^d) mod h, starting at d = 0
+    xpow[1, 0] = 1
+    out = []
+    rest = h
+    d = 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        xpow = gf_mm(p, frob, xpow)
+        diff = [int(c) for c in xpow[:, 0]]
+        diff[1] = (diff[1] - 1) % p
+        g = gf_poly_gcd(p, rest, _gf_trim(diff))
+        if len(g) > 1:
+            out.append((g, d))
+            rest = _gf_quo(p, rest, g)
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _gf_equal_degree(
+    p: int, h: list[int], d: int, rng: random.Random
+) -> list[list[int]]:
+    """The monic irreducible factors of h, a product of distinct degree-d
+    ones (Cantor-Zassenhaus; the trace map a + a^2 + ... + a^(2^(d-1))
+    replaces the power a^((p^d-1)/2) when p = 2)."""
+    n = len(h) - 1
+    if n == d:
+        return [h]
+    while True:
+        a = _gf_trim([rng.randrange(p) for _ in range(n)])
+        if p == 2:
+            t = b = a
+            for _ in range(d - 1):
+                b = gf_poly_powmod(p, b, 2, h)
+                t = gf_poly_add(p, t, b)
+        else:
+            # a^e mod h is the first column of the e-th power of the
+            # multiplication-by-a matrix
+            mult = _gf_krylov(p, _gf_companion(p, h), a)
+            power = gf_matpow(p, mult, (p**d - 1) // 2)
+            t = gf_poly_sub(p, _gf_trim([int(c) for c in power[:, 0]]), [1])
+        g = gf_poly_gcd(p, h, t)
+        if 1 < len(g) < len(h):
+            break
+    return _gf_equal_degree(p, g, d, rng) + _gf_equal_degree(
+        p, _gf_quo(p, h, g), d, rng
+    )
+
+
+def gf_poly_factors(p: int, f: list[int]) -> list[tuple[list[int], int]]:
+    """Distinct monic irreducible factors of f over GF(p) with multiplicities,
+    each as an ascending coefficient list, sorted.  The equal-degree step
+    draws from a generator seeded by f, so the work done is a function of f."""
+    f = _gf_trim([int(c) % p for c in f])
+    if len(f) == 1:
+        return []
+    f = gf_poly_scale(p, pow(f[-1], -1, p), f)
+    rng = random.Random(repr((p, f)))
+    out = []
+    for g, mult in _gf_squarefree(p, f):
+        for h, d in _gf_distinct_degree(p, g):
+            out += [(fac, mult) for fac in _gf_equal_degree(p, h, d, rng)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------- rationals
@@ -364,28 +500,6 @@ def qq_charpoly(a: np.ndarray) -> list[Fraction]:
                     term[idx] -= c
         polys.append(term)
     return polys[n]
-
-
-def gf_poly_factors(p: int, f: list[int]) -> list[tuple[list[int], int]]:
-    """Distinct monic irreducible factors of f over GF(p) with multiplicities
-    (delegated to sympy), each as an ascending coefficient list, sorted."""
-    import sympy
-
-    f = _gf_trim([c % p for c in f])
-    if len(f) == 1:
-        return []
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        list(reversed(f)), x, domain=sympy.GF(p, symmetric=False)
-    )
-    out = []
-    for fac, mult in poly.factor_list()[1]:
-        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        if len(coeffs) == 1:
-            continue
-        inv = pow(coeffs[-1], -1, p)
-        out.append(([c * inv % p for c in coeffs], int(mult)))
-    return sorted(out)
 
 
 def qq_poly_factors(

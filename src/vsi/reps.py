@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
+    FieldTooSmallError,
     InvariantViolationError,
     NegativeDimensionError,
     QuiverMismatchError,
@@ -231,29 +232,94 @@ def generic_ext(
 # ------------------------------------------------------ Fitting decomposition
 
 
-def _restrict(m: Representation, bases: list[np.ndarray]) -> Representation:
-    """Subrepresentation on given per-vertex column bases (must be invariant)."""
+def _restrict(
+    m: Representation, bases: list[np.ndarray], projs: list[np.ndarray]
+) -> Representation:
+    """Subrepresentation on per-vertex column bases, given left inverses
+    projs[v] of bases[v]; the subspaces must be invariant, which is checked."""
     q, f = m.quiver, m.field
     dim = tuple(bases[v].shape[1] for v in range(q.n))
     mats = []
     for k, (t, h) in enumerate(q.arrows):
         image = f.mm(m.mats[k], bases[t])
-        sol = f.solve(bases[h], image)
-        if sol is None:
+        sol = f.mm(projs[h], image)
+        if not f.eq(f.mm(bases[h], sol), image):
             raise InvariantViolationError("claimed invariant subspace is not one")
         mats.append(sol)
     return Representation(q, f, dim, tuple(mats))
 
 
+def _compress(
+    s: Representation,
+    endos: HomSpace,
+    incl: list[np.ndarray],
+    projs: list[np.ndarray],
+) -> HomSpace:
+    """End(s) for a direct summand s of M, from a basis of End(M).
+
+    The compressions projs.phi.incl span End(s) because projs.incl = id.  One
+    rref of their stacked vectors, columns reversed, then reversed back, gives
+    the basis hom_space(s, s) returns: a kernel basis is the basis of the
+    solution space that is reduced on the last possible coordinates.
+    """
+    q, f = s.quiver, s.field
+    e = endos.dimension
+    offs = [0]
+    for v in range(q.n):
+        offs.append(offs[-1] + s.dim[v] ** 2)
+    vecs = f.zeros(e, offs[-1])
+    for v in range(q.n):
+        d, n = s.dim[v], incl[v].shape[0]
+        if d:
+            # all of End(M) at once: phi_i.incl stacked, then proj applied to
+            # them side by side
+            right = f.mm(np.concatenate([phi[v] for phi in endos.basis]), incl[v])
+            right = right.reshape(e, n, d).transpose(1, 0, 2).reshape(n, e * d)
+            both = f.mm(projs[v], right).reshape(d, e, d).transpose(1, 0, 2)
+            vecs[:, offs[v] : offs[v + 1]] = both.reshape(e, d * d)
+    r, pivots = f.rref(vecs[:, ::-1])
+    basis = tuple(
+        tuple(
+            row[offs[v] : offs[v + 1]].reshape(s.dim[v], s.dim[v]).copy()
+            for v in range(q.n)
+        )
+        for row in r[: len(pivots)][::-1, ::-1]
+    )
+    return HomSpace(source=s, target=s, basis=basis)
+
+
+def _split(
+    m: Representation,
+    endos: HomSpace,
+    kers: list[np.ndarray],
+    images: list[np.ndarray],
+) -> list[tuple[Representation, HomSpace]]:
+    """The summands of M = L + R on complementary invariant column bases,
+    each with its End compressed from End(M)."""
+    f = m.field
+    left_projs, right_projs = [], []
+    for v in range(m.quiver.n):
+        inv = f.inv(np.concatenate([kers[v], images[v]], axis=1))
+        if inv is None:
+            raise InvariantViolationError("claimed summands are not complementary")
+        left_projs.append(inv[: kers[v].shape[1]])
+        right_projs.append(inv[kers[v].shape[1] :])
+    out = []
+    for bases, projs in ((kers, left_projs), (images, right_projs)):
+        s = _restrict(m, bases, projs)
+        out.append((s, _compress(s, endos, bases, projs)))
+    return out
+
+
 def random_endomorphism(m: Representation, endos: HomSpace, rng) -> list[np.ndarray]:
     """Random combination of an endomorphism basis, as per-vertex matrices."""
     f = m.field
-    psi = [f.zeros(m.dim[v], m.dim[v]) for v in range(m.quiver.n)]
-    for elem in endos.basis:
-        c = f.rand_elem(rng)
-        for v in range(m.quiver.n):
-            psi[v] = f.add(psi[v], f.smul(c, elem[v]))
-    return psi
+    coeffs = f.mat_of(1, endos.dimension, [[f.rand_elem(rng) for _ in endos.basis]])
+    return [
+        f.mm(coeffs, np.stack([elem[v].reshape(-1) for elem in endos.basis]))
+        .reshape(m.dim[v], m.dim[v])
+        for v in range(m.quiver.n)
+    ]
 
 
 def _poly_at_matrix(field: Field, coeffs, a: np.ndarray) -> np.ndarray:
@@ -297,7 +363,16 @@ def _radical_quotient_commutative(field: Field, endos: HomSpace) -> bool:
 def fitting_decompose(
     m: Representation, seed: int = 0, max_retries: int = 20
 ) -> list[Representation]:
-    """Direct summands indecomposable over the base field, via Fitting splits.
+    """Direct summands indecomposable over the base field, via Fitting splits
+    (see `fitting_summands`)."""
+    return [s for s, _ in fitting_summands(m, seed, max_retries)]
+
+
+def fitting_summands(
+    m: Representation, seed: int = 0, max_retries: int = 20
+) -> list[tuple[Representation, int]]:
+    """Direct summands indecomposable over the base field, each with the
+    dimension of its End, via Fitting splits.
 
     For each irreducible factor g of the characteristic polynomial of a
     random psi in End(M), ker g(psi)^N and im g(psi)^N (N = total dimension)
@@ -305,16 +380,31 @@ def fitting_decompose(
     A summand is a leaf when End = k, or when fresh samples keep producing a
     single irreducible factor and End modulo its radical is commutative: End
     is then local, though over GF(p) the residue field may be a proper
-    extension (a degree-d factor, End a degree-d field).  Failure to split
-    within max_retries raises SplitFailureError.
+    extension (a degree-d factor, End a degree-d field).  That radical test
+    needs the characteristic to exceed the total dimension, so a smaller
+    prime is refused with FieldTooSmallError when End is not k.  Failure to
+    split within max_retries raises SplitFailureError.
     """
     total = m.total_dim
     if total == 0:
         return []
     endos = hom_space(m, m)
+    if endos.dimension > 1 and 0 < m.field.char <= total:
+        raise FieldTooSmallError(
+            f"cannot decompose dim {m.dim} over {m.field.name}: the Fitting "
+            f"leaf test needs p = {m.field.char} to exceed the total "
+            f"dimension {total}"
+        )
+    return _fitting(m, endos, seed, max_retries)
+
+
+def _fitting(
+    m: Representation, endos: HomSpace, seed: int, max_retries: int
+) -> list[tuple[Representation, int]]:
     if endos.dimension == 1:
-        return [m]
+        return [(m, 1)]
     q, f = m.quiver, m.field
+    total = m.total_dim
     single_factor_streak = 0
     commutative_quotient = None
     for attempt in range(max_retries):
@@ -339,11 +429,10 @@ def fitting_decompose(
             if kdim == 0:
                 continue
             images = [f.column_space(b)[0] for b in powers]
-            left = _restrict(m, kers)
-            right = _restrict(m, images)
+            (left, left_endos), (right, right_endos) = _split(m, endos, kers, images)
             sub_seed = mix_seed(seed, "split", m.dim, attempt)
-            return fitting_decompose(left, sub_seed, max_retries) + fitting_decompose(
-                right, sub_seed + 1, max_retries
+            return _fitting(left, left_endos, sub_seed, max_retries) + _fitting(
+                right, right_endos, sub_seed + 1, max_retries
             )
         if len(factors) == 1 and whole_kernel_factors == 1:
             # psi generates a field acting on all of M; if fresh samples keep
@@ -354,7 +443,7 @@ def fitting_decompose(
             if commutative_quotient:
                 single_factor_streak += 1
                 if single_factor_streak >= 3:
-                    return [m]
+                    return [(m, endos.dimension)]
         else:
             single_factor_streak = 0
     raise SplitFailureError(

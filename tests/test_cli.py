@@ -120,6 +120,24 @@ def test_d4_complex_builds_over_small_primes(capsys, tmp_path, field):
     assert json.loads(out)["facets"] == facets
 
 
+def test_small_prime_decompose_is_refused(capsys):
+    # the Fitting leaf test needs p above the total dimension (8 here); a
+    # refusal is an input error, not a verification failure
+    code, _, err = _run(capsys, "--field", "fp:2", "decompose", "--", "-1,2,3")
+    assert code == 1, err
+    assert "p = 2" in err and "total dimension 8" in err
+
+
+def test_d4_complex_verify_over_fp2_is_refused(capsys, tmp_path):
+    path = tmp_path / "d4.quiver"
+    path.write_text("1 -> 4\n2 -> 4\n3 -> 4\n", encoding="utf-8")
+    code, _, err = _run(
+        capsys, "--quiver", str(path), "--field", "fp:2", "complex", "verify"
+    )
+    assert code == 1, err
+    assert "p = 2" in err and "total dimension" in err
+
+
 def test_large_prime_decomposes_like_the_default(capsys):
     argv = ("--format", "json", "decompose", "--", "-1,2,3")
     code, out, err = _run(capsys, "--field", "fp:2147483647", *argv)
@@ -219,3 +237,34 @@ def test_complex_truncate_on_default_quiver(capsys):
     data = json.loads(out)
     assert data["schema"] == 1
     assert data["cliques"]
+
+
+def test_gf_decomposition_does_not_import_sympy(tmp_path):
+    # sympy serves only the rationals; the GF(p) path factors in-house
+    script = (
+        "import sys\n"
+        "from vsi import example_quiver, generic_decomposition, parse_field\n"
+        "fp = parse_field('fp:32003')\n"
+        "dec = generic_decomposition(example_quiver(), (-1, 2, 3), fp)\n"
+        "assert len(dec.schur_parts) == 2, dec\n"
+        "print('library', 'sympy' in sys.modules)\n"
+        "from vsi.cli import main\n"
+        "code = main(['decompose', '--', '-1,2,3'])\n"
+        "print('cli', code, 'sympy' in sys.modules)\n"
+    )
+    paths = [str(Path(vsi.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "library False" in lines
+    assert "cli 0 False" in lines

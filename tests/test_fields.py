@@ -12,6 +12,7 @@ from vsi import (
     parse_field,
     prime_field,
 )
+from vsi.fields import _is_prime
 
 
 def test_parse_field_variants():
@@ -37,6 +38,17 @@ def test_prime_field_bounds_primes_below_two_to_the_31():
     assert parse_field("fp:2147483647").p == 2**31 - 1
     with pytest.raises(ParseError, match="too large"):
         parse_field("fp:2147483648")
+
+
+def test_prime_field_primality_is_exact_miller_rabin():
+    # 2047 is a strong pseudoprime to base 2; 561 and 1105 are Carmichael
+    for n in (2047, 561, 1105, 1, 0, 32001):
+        with pytest.raises(ParseError, match="not prime"):
+            prime_field(n)
+    assert prime_field(2147483647).p == 2**31 - 1
+    assert prime_field(2).p == 2
+    trial = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(3000) if _is_prime(n)] == trial
 
 
 def test_prime_field_scalar_arithmetic():

@@ -86,6 +86,42 @@ def test_gf_rref_produces_reduced_echelon_and_rank():
             assert col[k] == 1 and int(np.count_nonzero(col)) == 1
 
 
+def _rref_full_rows(p, a):
+    # the textbook elimination that updates whole rows at every pivot
+    a = a.copy() % p
+    pivots, r = [], 0
+    for c in range(a.shape[1]):
+        nz = [i for i in range(r, a.shape[0]) if a[i, c]]
+        if not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        for i in range(a.shape[0]):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - int(a[i, c]) * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == a.shape[0]:
+            break
+    return a, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, P, 2**31 - 1])
+def test_gf_rref_matches_whole_row_elimination(p):
+    # gf_rref updates only the columns right of each pivot
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(30):
+        m, n = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        a = rng.integers(0, p, size=(m, n))
+        a[:, rng.random(n) < 0.3] = 0
+        if m > 2:
+            a[-1] = (a[0] + a[1]) % p
+        r, pivots = gf_rref(p, a)
+        ref, ref_pivots = _rref_full_rows(p, a)
+        assert pivots == ref_pivots
+        assert r.tolist() == ref.tolist()
+
+
 def test_gf_mm_exact_for_primes_near_two_to_the_31():
     big = 2**31 - 1  # prime; (p-1)^2 is just under 2^62
     a = gf_mat(big, [[big - 1] * 4])
@@ -254,6 +290,55 @@ def test_gf_poly_factors_round_trip_and_goldens():
             prod = gf_poly_mul(P, prod, fac)
     assert prod == f
     assert gf_poly_factors(P, [7]) == []
+
+
+def _sympy_gf_factors(p, f):
+    # the oracle: sympy's factorization, in gf_poly_factors' output format
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(f)), x, domain=sympy.GF(p, symmetric=False))
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
+        inv = pow(coeffs[-1], -1, p)
+        out.append(([c * inv % p for c in coeffs], int(mult)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, P, 2**31 - 1])
+def test_gf_poly_factors_match_sympy(p):
+    rng = random.Random(p)
+    cases = []
+    for _ in range(8):
+        # products of random factors, some repeated, of degree up to 40
+        f = [rng.randrange(1, p)]
+        target = rng.randrange(1, 41)
+        while len(f) - 1 < target:
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [1]
+            mult = rng.choice([1, 1, 2, 3])
+            if len(f) - 1 + mult * (len(g) - 1) > 40:
+                break
+            for _ in range(mult):
+                f = gf_poly_mul(p, f, g)
+        cases.append(f)
+    if p < 10:
+        # p-th powers, where the derivative vanishes: g(x)^p = g(x^p), times
+        # a factor with multiplicity p + 1
+        g = [rng.randrange(1, p) for _ in range(4)] + [1]
+        gp = [0] * (4 * p + 1)
+        gp[::p] = g
+        cases.append(gp)
+        h = [1, 1]
+        for _ in range(p + 1):
+            gp = gf_poly_mul(p, gp, h)
+        cases.append(gp)
+    cases.append([0, 0, 0, 1])  # x^3
+    for f in cases:
+        f = [c % p for c in f]
+        while f[-1] == 0:
+            f.pop()
+        assert gf_poly_factors(p, f) == _sympy_gf_factors(p, f), f
 
 
 def test_qq_poly_factors_monic_and_content_free():

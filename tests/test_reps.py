@@ -6,6 +6,7 @@ import pytest
 
 from vsi import (
     FieldMismatchError,
+    FieldTooSmallError,
     Quiver,
     QuiverMismatchError,
     Representation,
@@ -17,6 +18,7 @@ from vsi import (
     euler_form,
     ext_dim,
     fitting_decompose,
+    fitting_summands,
     generic_ext,
     generic_hom,
     hom_dim,
@@ -29,7 +31,9 @@ from vsi import (
     rep_to_json,
     zero_rep,
 )
+from vsi import reps
 from vsi.errors import InvariantViolationError
+from vsi.fields import parse_field, prime_field
 
 
 def _simple(q, field, v: int) -> Representation:
@@ -230,3 +234,117 @@ def test_fitting_splits_off_extension_blocks(gf):
     parts = fitting_decompose(m, seed=0)
     assert sorted(p.dim for p in parts) == [(1, 1), (2, 2)]
     assert sorted(end_dim(p) for p in parts) == [1, 2]
+
+
+def _mixed_sum(q, field, dims, seed):
+    """A direct sum of random reps, conjugated so that no summand sits on
+    coordinate axes; returns it with the column bases of its summands."""
+    m = random_rep(q, dims[0], field, seed)
+    for k, d in enumerate(dims[1:]):
+        m = direct_sum(m, random_rep(q, d, field, seed + k + 1))
+    g = random_glpoint(q, m.dim, field, seed)
+    first = dims[0]
+    kers = [g[v][:, : first[v]].copy() for v in range(q.n)]
+    images = [g[v][:, first[v] :].copy() for v in range(q.n)]
+    return conjugate_rep(m, g), kers, images
+
+
+def _same_basis(a, b) -> bool:
+    return len(a.basis) == len(b.basis) and all(
+        x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+        for xs, ys in zip(a.basis, b.basis)
+        for x, y in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("field", ["gf", "qq"])
+@pytest.mark.parametrize(
+    "quiver, dims",
+    [
+        ("ex_quiver", [(1, 1, 0), (0, 1, 2), (0, 1, 1), (0, 0, 1)]),
+        ("ex_quiver", [(0, 1, 1), (0, 1, 1), (1, 0, 0)]),
+        ("d4", [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 2)]),
+        ("d4", [(0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1)]),
+    ],
+)
+def test_summand_end_compressed_from_end_m_equals_hom_space(
+    request, field, quiver, dims
+):
+    f, q = request.getfixturevalue(field), request.getfixturevalue(quiver)
+    m, kers, images = _mixed_sum(q, f, dims, seed=17)
+    endos = hom_space(m, m)
+    (left, left_end), (right, right_end) = reps._split(m, endos, kers, images)
+    assert left.dim == dims[0]
+    for s, compressed in ((left, left_end), (right, right_end)):
+        assert _same_basis(compressed, hom_space(s, s))
+
+
+def test_every_fitting_split_compresses_to_hom_space(
+    monkeypatch, ex_quiver, d4, gf
+):
+    splits = []
+    real_split = reps._split
+
+    def checked(m, endos, kers, images):
+        out = real_split(m, endos, kers, images)
+        for s, compressed in out:
+            assert _same_basis(compressed, hom_space(s, s))
+        splits.append(m.dim)
+        return out
+
+    monkeypatch.setattr(reps, "_split", checked)
+    m = random_rep(ex_quiver, (2, 3, 4), gf, seed=21)
+    m = direct_sum(m, random_rep(ex_quiver, (0, 1, 1), gf, seed=5))
+    n = direct_sum(
+        random_rep(d4, (1, 1, 1, 3), gf, seed=2),
+        random_rep(d4, (1, 1, 0, 2), gf, seed=3),
+    )
+    for rep in (m, n):
+        pairs = fitting_summands(rep, seed=4)
+        parts = fitting_decompose(rep, seed=4)
+        assert [s.dim for s, _ in pairs] == [s.dim for s in parts]
+        assert all(
+            gf.eq(x, y)
+            for (s, _), t in zip(pairs, parts)
+            for x, y in zip(s.mats, t.mats)
+        )
+        assert [d for _, d in pairs] == [end_dim(s) for s, _ in pairs]
+    assert len(splits) >= 4
+
+
+def test_fitting_refuses_primes_not_above_the_total_dimension(a3):
+    f = prime_field(3)
+    s0, s1 = _simple(a3, f, 0), _simple(a3, f, 1)
+    m = direct_sum(s0, direct_sum(s1, s0))
+    with pytest.raises(FieldTooSmallError, match=r"p = 3 .* total dimension 3"):
+        fitting_decompose(m, seed=0)
+    # End = k needs no leaf test, and a prime above the dimension splits
+    brick = Representation(a3, f, (1, 1, 1), [f.eye(1), f.eye(1)])
+    assert fitting_decompose(brick, seed=0) == [brick]
+    f5 = prime_field(5)
+    m5 = direct_sum(
+        _simple(a3, f5, 0), direct_sum(_simple(a3, f5, 1), _simple(a3, f5, 0))
+    )
+    assert sorted(p.dim for p in fitting_decompose(m5, seed=0)) == [
+        (0, 1, 0), (1, 0, 0), (1, 0, 0)
+    ]
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:2147483647", "q"])
+def test_random_endomorphism_matches_the_loop_sum(d4, spec):
+    # one product per vertex in place of a sum over the basis: same draws,
+    # same values, also where gf_mm has to chunk (p near 2^31) and over Q
+    f = parse_field(spec)
+    m = direct_sum(
+        random_rep(d4, (1, 1, 0, 2), f, seed=6), random_rep(d4, (1, 1, 0, 2), f, seed=6)
+    )
+    m = direct_sum(m, random_rep(d4, (0, 0, 1, 0), f, seed=7))
+    endos = hom_space(m, m)
+    assert endos.dimension > 4
+    psi = reps.random_endomorphism(m, endos, derive_rng(3, "psi"))
+    rng = derive_rng(3, "psi")
+    ref = [f.zeros(m.dim[v], m.dim[v]) for v in range(d4.n)]
+    for elem in endos.basis:
+        c = f.rand_elem(rng)
+        ref = [f.add(r, f.smul(c, e)) for r, e in zip(ref, elem)]
+    assert all(x.dtype == y.dtype and (x == y).all() for x, y in zip(psi, ref))
