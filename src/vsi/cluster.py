@@ -6,19 +6,30 @@ complex of the compatibility graph and facets are its maximal cliques.  The
 lambda map sends a root vertex to its own vector and a shifted vertex to minus
 the projective vector; ridges (codimension-one faces) get labeled by the
 positive roots whose support cone D(beta) contains them.
+
+The face cones partition R^n and each facet's lambda vectors form a Z-basis,
+so one certified table of integer facet inverses answers every cone question
+exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering test.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+import numpy as np
 
 from . import linalg
-from .decomposition import cached_generic_ext, generic_decomposition
+from .decomposition import (
+    GenericDecomposition,
+    cached_generic_ext,
+    generic_decomposition,
+)
 from .errors import (
     EmptyLabelError,
     InvariantViolationError,
@@ -26,9 +37,10 @@ from .errors import (
     NotDynkinError,
     ParseError,
     UnsupportedDimensionError,
+    VsiError,
     ZeroCoefficientsError,
 )
-from .fields import QQ, Field, derive_rng, mix_seed
+from .fields import Field, derive_rng, mix_seed
 from .quiver import (
     DimVector,
     Quiver,
@@ -159,19 +171,28 @@ def compatible(
 
 @dataclass(frozen=True)
 class TiltingComplex:
+    """The complex, with `inverses[f]` the integer inverse of facet f's lambda
+    matrix (column k the lambda vector of `facets[f][k]`)."""
+
     quiver: Quiver
     field: Field
     seed: int
     vertices: tuple[ComplexVertex, ...]
     facets: tuple[tuple[int, ...], ...]
     compat: tuple[tuple[bool, ...], ...]
+    inverses: np.ndarray = dataclasses.field(compare=False, repr=False)
+
+    @functools.cached_property
+    def ridge_facets(self) -> dict[tuple[int, ...], list[int]]:
+        """Each ridge (sorted) with the indices of the facets containing it."""
+        out: dict[tuple[int, ...], list[int]] = {}
+        for fi, facet in enumerate(self.facets):
+            for ridge in itertools.combinations(facet, len(facet) - 1):
+                out.setdefault(ridge, []).append(fi)
+        return out
 
     def ridges(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[tuple[int, ...]] = set()
-        for facet in self.facets:
-            for ridge in itertools.combinations(facet, len(facet) - 1):
-                seen.add(ridge)
-        return tuple(sorted(seen))
+        return tuple(sorted(self.ridge_facets))
 
     def is_face(self, vertex_set) -> bool:
         s = set(vertex_set)
@@ -197,9 +218,7 @@ def _max_cliques(adj: list[set[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def primitive_ray(vec) -> DimVector:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
+    g = math.gcd(*(int(x) for x in vec))
     if g == 0:
         raise ZeroCoefficientsError("zero vector has no ray")
     return tuple(int(x) // g for x in vec)
@@ -217,13 +236,55 @@ def _dynkin_compatible(q: Quiver, x: ComplexVertex, y: ComplexVertex) -> bool:
     )
 
 
+# Largest |entry| of a lambda matrix, of a certified inverse, or of a point
+# whose facet coordinates are taken in int64: n * 2^20 * 2^20 < 2^63 for any
+# n below 2^23, so no product below can wrap around.  Also the longest part
+# list `locate` will build.
+_INT64_BOUND = 2**20
+
+
+def _assemble(q, field, seed, verts, facets, error) -> TiltingComplex:
+    """The complex on these facets, with its certified facet inverse table.
+
+    Two vertices are compatible iff they share a facet.  One batched float
+    inverse of the facet lambda matrices L, rounded, is kept only where the
+    int64 product L @ M equals the identity; an integer inverse exists exactly
+    when |det L| = 1, so any other facet raises `error`.
+    """
+    n, nv = q.n, len(verts)
+    if any(abs(x) > _INT64_BOUND for v in verts for x in v.vector):
+        raise error(f"lambda vector entries exceed {_INT64_BOUND}")
+    lam = np.array([v.lam for v in verts], dtype=np.int64).reshape(-1, n)
+    mats = lam[np.array(facets, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1)
+    approx = mats.astype(float)
+    # a zero pivot would make the batched inverse raise; such a facet keeps
+    # the identity here and then fails the certificate
+    approx[np.linalg.det(approx) == 0] = np.eye(n)
+    # clipping keeps the product in range; an integer M with L @ M = I is the
+    # inverse whatever rounding and clipping did to reach it
+    inverses = np.nan_to_num(np.rint(np.linalg.inv(approx)))
+    inverses = np.clip(inverses, -_INT64_BOUND, _INT64_BOUND).astype(np.int64)
+    certified = (mats @ inverses == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    if not certified.all():
+        bad = facets[int(np.argmin(certified))]
+        raise error(f"facet {tuple(bad)} has a lambda matrix with |det| != 1")
+    shared: list[set[int]] = [set() for _ in range(nv)]
+    for facet in facets:
+        for i in facet:
+            shared[i].update(facet)
+    compat = tuple(
+        tuple(i != j and j in shared[i] for j in range(nv)) for i in range(nv)
+    )
+    return TiltingComplex(q, field, seed, tuple(verts), tuple(facets), compat, inverses)
+
+
 def build_complex(q: Quiver, field: Field, seed: int = 0) -> TiltingComplex:
     """Clique complex of the compatibility graph, with build-time invariants.
 
     Compatibility is exact Euler-form arithmetic, so the complex does not
     depend on `field` or `seed`; both are kept for `verify_sphere`'s covering
     test.  Every maximal clique must have exactly n vertices whose lambda
-    vectors form a Z-basis (|det| = 1).
+    vectors form a Z-basis, certified by the facet inverse table.
     """
     _require_dynkin(q)
     verts = complex_vertices(q)
@@ -240,20 +301,39 @@ def build_complex(q: Quiver, field: Field, seed: int = 0) -> TiltingComplex:
             raise InvariantViolationError(
                 f"maximal clique {facet} has size {len(facet)}, not {q.n}"
             )
-        det = linalg.int_bareiss_det([verts[i].lam for i in facet])
-        if abs(det) != 1:
-            raise InvariantViolationError(
-                f"facet {facet} has lambda determinant {det}, not +-1"
-            )
-    compat = tuple(tuple(j in adj[i] for j in range(nv)) for i in range(nv))
-    return TiltingComplex(
-        quiver=q,
-        field=field,
-        seed=seed,
-        vertices=verts,
-        facets=tuple(facets),
-        compat=compat,
-    )
+    return _assemble(q, field, seed, verts, facets, InvariantViolationError)
+
+
+def _coordinates(inverses: np.ndarray, x: DimVector) -> np.ndarray:
+    """Exact coordinates M @ x on each facet of the stack: int64 while |x|
+    is within the bound the inverses were certified under, Python ints beyond."""
+    if max(map(abs, x), default=0) <= _INT64_BOUND:
+        return inverses @ np.array(x, dtype=np.int64)
+    return inverses.astype(object) @ np.array(x, dtype=object)
+
+
+def locate(c: TiltingComplex, x) -> GenericDecomposition:
+    """The generic decomposition of x read off the first facet whose cone
+    contains it: a root vertex with coordinate t gives t copies of its root,
+    a shifted vertex P(v)[1] gives gamma_v = t.  Exact for every integer x;
+    VsiError if the part list, kept with multiplicity, would pass 2^20."""
+    x = check_dim_vector(c.quiver, x)
+    coords = _coordinates(c.inverses, x)
+    inside = np.flatnonzero((coords >= 0).all(axis=1))
+    if not inside.size:
+        raise InvariantViolationError(f"no facet cone contains {x}")
+    fi = int(inside[0])
+    parts: list[DimVector] = []
+    gamma = [0] * c.quiver.n
+    for i, t in zip(c.facets[fi], coords[fi]):
+        v = c.vertices[i]
+        if v.kind == "shifted":
+            gamma[v.vertex] = int(t)
+        elif len(parts) + t > _INT64_BOUND:
+            raise VsiError(f"{x} has more than {_INT64_BOUND} Schur parts")
+        else:
+            parts.extend([v.vector] * int(t))
+    return GenericDecomposition(x, tuple(sorted(parts)), tuple(gamma))
 
 
 # ------------------------------------------------------------------- lambda
@@ -288,9 +368,7 @@ def lambda_point(c: TiltingComplex, coeffs: dict[int, Fraction]) -> SpherePoint:
         t = Fraction(coeffs[i])
         for r, x in enumerate(c.vertices[i].lam):
             combo[r] += t * x
-    denom_lcm = 1
-    for x in combo:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    denom_lcm = math.lcm(*(x.denominator for x in combo))
     return _to_sphere([int(x * denom_lcm) for x in combo])
 
 
@@ -308,56 +386,39 @@ class SphereReport:
         return not self.failures
 
 
-def _collect_faces(c: TiltingComplex) -> set[tuple[int, ...]]:
-    """Nonempty faces as sorted tuples (facets are sorted, so combinations are)."""
-    faces: set[tuple[int, ...]] = set()
-    for facet in c.facets:
-        for size in range(1, len(facet) + 1):
-            faces.update(itertools.combinations(facet, size))
-    return faces
-
-
 def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     """All structural sphere checks for a built Dynkin complex.
 
     Purity, every ridge in exactly two facets, facet-adjacency connectivity,
     Euler characteristic of S^{n-1}, injectivity of lambda on vertices, and a
-    covering test: the generic decomposition of each of `samples` random
-    integer vectors must be supported on a face.
+    covering test: for each of `samples` random integer vectors the sampled
+    generic decomposition must equal the one `locate` reads off the facet
+    table (same parts with multiplicity, same gamma).
     """
     q = c.quiver
     n = q.n
     failures: list[str] = []
     if any(len(f) != n for f in c.facets):
         failures.append("impure: facet of wrong size")
-    by_ridge: dict[tuple[int, ...], list[int]] = {}
-    for fi, facet in enumerate(c.facets):
-        for ridge in itertools.combinations(facet, n - 1):
-            by_ridge.setdefault(ridge, []).append(fi)
-    bad = [r for r, members in by_ridge.items() if len(members) != 2]
+    bad = [r for r, members in c.ridge_facets.items() if len(members) != 2]
     if bad:
         failures.append(f"{len(bad)} ridges not in exactly 2 facets")
     # connectivity of the facet adjacency graph (shared ridge = adjacency)
-    if c.facets:
-        neighbors: list[set[int]] = [set() for _ in c.facets]
-        for members in by_ridge.values():
-            for a, b in itertools.combinations(members, 2):
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-        seen = {0}
-        queue = [0]
-        while queue:
-            cur = queue.pop()
-            for nxt in neighbors[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if len(seen) != len(c.facets):
-            failures.append("facet adjacency graph is disconnected")
-    faces = _collect_faces(c)
-    face_counts = [0] * n
-    for face in faces:
-        face_counts[len(face) - 1] += 1
+    seen = {0} if c.facets else set()
+    queue = list(seen)
+    while queue:
+        facet = c.facets[queue.pop()]
+        for ridge in itertools.combinations(facet, len(facet) - 1):
+            for nxt in set(c.ridge_facets[ridge]) - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if len(seen) != len(c.facets):
+        failures.append("facet adjacency graph is disconnected")
+    # faces as sorted tuples (facets are sorted, so combinations are)
+    face_counts = [
+        len({face for facet in c.facets for face in itertools.combinations(facet, k)})
+        for k in range(1, n + 1)
+    ]
     chi = sum((-1) ** k * face_counts[k] for k in range(n))
     expected_chi = 1 + (-1) ** (n - 1)
     if chi != expected_chi:
@@ -365,14 +426,9 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     rays = [_to_sphere(v.lam).ray for v in c.vertices]
     if len(set(rays)) != len(rays):
         failures.append("lambda is not injective on vertices")
-    # covering: random integer vectors decompose over a single face
+    # covering: the sampled decomposition of random integer vectors is the
+    # one read off the facet cone that contains them
     rng = derive_rng(c.seed, "covering", q.names, q.arrows)
-    root_index = {
-        v.vector: i for i, v in enumerate(c.vertices) if v.kind == "root"
-    }
-    shifted_index = {
-        v.vertex: i for i, v in enumerate(c.vertices) if v.kind == "shifted"
-    }
     checked = 0
     while checked < samples:
         x = tuple(int(e) for e in rng.integers(-6, 7, size=n))
@@ -382,21 +438,9 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
         dec = generic_decomposition(
             q, x, c.field, seed=mix_seed(c.seed, "covering", x)
         )
-        support = set()
-        missing = False
-        for part in set(dec.schur_parts):
-            if part not in root_index:
-                failures.append(f"part {part} of {x} is not a complex vertex")
-                missing = True
-                break
-            support.add(root_index[part])
-        if missing:
-            break
-        for v in range(n):
-            if dec.gamma[v]:
-                support.add(shifted_index[v])
-        if not c.is_face(support):
-            failures.append(f"decomposition support of {x} is not a face")
+        found = locate(c, x)
+        if (dec.schur_parts, dec.gamma) != (found.schur_parts, found.gamma):
+            failures.append(f"decomposition {dec} differs from its facet's {found}")
             break
     return SphereReport(
         euler_characteristic=chi,
@@ -431,16 +475,22 @@ def wall_labels(
 
 
 def ridge_cone_contains(c: TiltingComplex, ridge, point) -> bool:
-    """Exact test: is the point a nonnegative rational combination of the
-    ridge's lambda vectors?"""
+    """Exact test: is the point a nonnegative combination of the ridge's
+    lambda vectors?  On a facet containing the ridge (any face works), the
+    point's integer coordinates must vanish off the ridge and be >= 0 on it.
+    NotASimplexError if the vertex set is not a face."""
     point = check_dim_vector(c.quiver, point)
-    cols = [c.vertices[i].lam for i in ridge]
-    a = QQ.mat_of(c.quiver.n, len(cols), [[col[r] for col in cols] for r in range(c.quiver.n)])
-    b = QQ.mat_of(c.quiver.n, 1, [[x] for x in point])
-    sol = QQ.solve(a, b)
-    if sol is None:
-        return False
-    return all(sol[i, 0] >= 0 for i in range(len(cols)))
+    face = tuple(sorted(ridge))
+    holders = c.ridge_facets.get(face) or [
+        fi for fi, facet in enumerate(c.facets) if set(face).issubset(facet)
+    ]
+    if not holders:
+        raise NotASimplexError(f"vertex set {list(face)} is not a face")
+    fi = holders[0]
+    coords = _coordinates(c.inverses[fi], point)
+    return all(
+        t >= 0 if i in face else t == 0 for i, t in zip(c.facets[fi], coords)
+    )
 
 
 # ------------------------------------------------------------------ oracle
@@ -496,6 +546,8 @@ def complex_to_json(c: TiltingComplex, walls: bool = True) -> str:
 
 
 def complex_from_json(q: Quiver, field: Field, text: str) -> TiltingComplex:
+    """Read `complex_to_json` output.  Every facet must list n vertices whose
+    lambda vectors form a Z-basis; anything else is a ParseError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -514,21 +566,11 @@ def complex_from_json(q: Quiver, field: Field, text: str) -> TiltingComplex:
         )
     facets = tuple(tuple(int(i) for i in f) for f in data["facets"])
     nv = len(verts)
-    compat = tuple(
-        tuple(
-            i != j and any(i in f and j in f for f in facets)
-            for j in range(nv)
-        )
-        for i in range(nv)
-    )
-    return TiltingComplex(
-        quiver=q,
-        field=field,
-        seed=0,
-        vertices=tuple(verts),
-        facets=facets,
-        compat=compat,
-    )
+    if any(len(v.vector) != q.n for v in verts) or any(
+        len(set(f)) != q.n or not set(f) <= set(range(nv)) for f in facets
+    ):
+        raise ParseError(f"complex JSON needs {q.n}-vectors and {q.n}-vertex facets")
+    return _assemble(q, field, 0, verts, facets, ParseError)
 
 
 def export_complex(c: TiltingComplex, fmt: str) -> str:

@@ -36,7 +36,7 @@ from .quiver import (
 from .reps import (
     check_nonneg,
     end_dim,
-    fitting_summands,
+    fitting_decompose,
     generic_ext,
     random_rep,
 )
@@ -87,7 +87,7 @@ def generic_decomposition(
     for retry in range(max_retries):
         m = random_rep(q, mu, field, mix_seed(seed, "gd-sample", retry))
         try:
-            summands = fitting_summands(m, mix_seed(seed, "gd-fit", retry))
+            summands = fitting_decompose(m, mix_seed(seed, "gd-fit", retry))
         except SplitFailureError as exc:
             last_failure = str(exc)
             continue

@@ -38,8 +38,8 @@ class Field:
 
     Subclasses supply scalars and the matrix kernels that really differ
     between backends (`zeros`, `eye`, `mm`, `neg`, `rref`, `det`,
-    `charpoly`, ...); rank, kernel, solve, column space, inverse and matrix
-    power are derived here from `rref` and `mm`.
+    `charpoly`, ...); rank, kernel, column space, inverse and matrix power
+    are derived here from `rref` and `mm`.
     """
 
     name: str
@@ -91,16 +91,6 @@ class Field:
         k[free, range(len(free))] = self.one
         k[pivots] = self.neg(r[: len(pivots)][:, free])
         return k
-
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution of a@x = b (free variables zero), or None."""
-        n = a.shape[1]
-        r, pivots = self.rref(np.concatenate([a, b], axis=1))
-        if pivots and pivots[-1] >= n:
-            return None
-        x = self.zeros(n, b.shape[1])
-        x[pivots] = r[: len(pivots), n:]
-        return x
 
     def column_space(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced column-echelon basis of the column space, plus its pivot rows."""

@@ -4,7 +4,7 @@ Three coefficient domains, three backends: plain python ints (Euler matrices,
 Bareiss determinants), numpy int64 arrays reduced mod a prime (`gf_mm` sums
 long products in chunks so they stay in 64 bits), and numpy object arrays of
 Fractions for the rational field.  Operations derived from these kernels
-(rank, kernel, solve, column space, inverse, matrix power) are written once on
+(rank, kernel, column space, inverse, matrix power) are written once on
 `vsi.fields.Field`.
 """
 
@@ -159,17 +159,11 @@ def _gf_trim(f: list[int]) -> list[int]:
     return f
 
 
-def gf_poly_add(p: int, f: list[int], g: list[int]) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return _gf_trim(out)
-
-
 def gf_poly_sub(p: int, f: list[int], g: list[int]) -> list[int]:
-    return gf_poly_add(p, f, [(-c) % p for c in g])
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = (out[i] - c) % p
+    return _gf_trim(out)
 
 
 def gf_poly_scale(p: int, c: int, f: list[int]) -> list[int]:
@@ -212,17 +206,6 @@ def gf_poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
     if f != [0]:
         f = gf_poly_scale(p, pow(f[-1], -1, p), f)
     return f
-
-
-def gf_poly_powmod(p: int, base: list[int], e: int, mod: list[int]) -> list[int]:
-    result = [1]
-    base = gf_poly_divmod(p, base, mod)[1]
-    while e:
-        if e & 1:
-            result = gf_poly_divmod(p, gf_poly_mul(p, result, base), mod)[1]
-        base = gf_poly_divmod(p, gf_poly_mul(p, base, base), mod)[1]
-        e >>= 1
-    return result
 
 
 def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
@@ -354,13 +337,18 @@ def _gf_equal_degree(
     n = len(h) - 1
     if n == d:
         return [h]
+    if p == 2:
+        frob = _gf_frobenius(p, h)
     while True:
         a = _gf_trim([rng.randrange(p) for _ in range(n)])
         if p == 2:
-            t = b = a
+            # t = a + a^2 + ... + a^(2^(d-1)) by Horner in the Frobenius matrix
+            col = gf_zeros(n, 1)
+            col[: len(a), 0] = a
+            t = col
             for _ in range(d - 1):
-                b = gf_poly_powmod(p, b, 2, h)
-                t = gf_poly_add(p, t, b)
+                t = (col + gf_mm(p, frob, t)) % p
+            t = _gf_trim([int(c) for c in t[:, 0]])
         else:
             # a^e mod h is the first column of the e-th power of the
             # multiplication-by-a matrix

@@ -82,14 +82,6 @@ class ProjDecomp:
                 f"E^t{self.alpha} = {lhs} but gamma0 - gamma1 = {rhs}"
             )
 
-    @classmethod
-    def from_gammas(cls, q: Quiver, gamma0, gamma1) -> "ProjDecomp":
-        gamma0 = check_nonneg(q, gamma0)
-        gamma1 = check_nonneg(q, gamma1)
-        diff = tuple(a - b for a, b in zip(gamma0, gamma1))
-        alpha = apply_int_matrix(euler_data(q).et_inv, diff)
-        return cls(q, alpha, gamma0, gamma1)
-
 
 def minimal_decomp(q: Quiver, a) -> ProjDecomp:
     """Positive/negative split of E^t a; the unique disjoint-support pair."""

@@ -94,9 +94,6 @@ class Quiver:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {name!r}") from None
 
-    def arrows_from(self, u: int) -> tuple[int, ...]:
-        return tuple(self._out[u])
-
     def paths(self, u: int, v: int) -> tuple[Path, ...]:
         """All directed paths u -> v as arrow-index tuples, deterministic order.
 

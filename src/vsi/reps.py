@@ -196,10 +196,6 @@ def end_dim(m: Representation) -> int:
     return hom_dim(m, m)
 
 
-def is_schur_sample(m: Representation) -> bool:
-    return end_dim(m) == 1
-
-
 # ------------------------------------------------------- generic hom and ext
 
 
@@ -361,14 +357,6 @@ def _radical_quotient_commutative(field: Field, endos: HomSpace) -> bool:
 
 
 def fitting_decompose(
-    m: Representation, seed: int = 0, max_retries: int = 20
-) -> list[Representation]:
-    """Direct summands indecomposable over the base field, via Fitting splits
-    (see `fitting_summands`)."""
-    return [s for s, _ in fitting_summands(m, seed, max_retries)]
-
-
-def fitting_summands(
     m: Representation, seed: int = 0, max_retries: int = 20
 ) -> list[tuple[Representation, int]]:
     """Direct summands indecomposable over the base field, each with the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,25 @@ import pytest
 from vsi import (
     NotASimplexError,
     NotDynkinError,
+    ParseError,
     Quiver,
     UnsupportedDimensionError,
+    VsiError,
     ZeroCoefficientsError,
     build_complex,
     compatible,
     complex_from_json,
     complex_to_json,
     complex_vertices,
+    derive_rng,
     euler_form,
     exact_root_ext,
     export_complex,
+    generic_decomposition,
     is_dynkin,
     lambda_point,
     linear_type_a_facet_count,
+    locate,
     polygon_triangulation_count,
     positive_roots,
     primitive_ray,
@@ -33,6 +39,7 @@ from vsi import (
     verify_sphere,
     wall_labels,
 )
+from vsi import cluster
 
 # one orientation each of A5, D5, E6, E7 and E8
 A5 = Quiver(list("12345"), [("1", "2"), ("3", "2"), ("3", "4"), ("5", "4")])
@@ -236,18 +243,96 @@ def test_wall_labels_nonempty_and_perpendicular(a3, gf):
                 assert euler_form(a3, c.vertices[i].lam, beta) == 0
 
 
+def _lam_sum(c, coeffs):
+    n = c.quiver.n
+    return tuple(
+        sum(t * c.vertices[i].lam[r] for i, t in coeffs.items()) for r in range(n)
+    )
+
+
 def test_ridge_cone_membership(a3, gf):
     c = build_complex(a3, gf)
     ridge = c.ridges()[0]
-    inside = tuple(
-        sum(c.vertices[i].lam[r] for i in ridge) for r in range(3)
-    )
+    inside = _lam_sum(c, {i: 1 for i in ridge})
     assert ridge_cone_contains(c, ridge, inside)
-    # a point off the spanned hyperplane cannot be in the cone
-    off = tuple(x + 17 for x in inside)
-    assert not ridge_cone_contains(c, ridge, off) or euler_form(
-        a3, off, (1, 1, 1)
-    ) == 0
+    assert ridge_cone_contains(c, ridge, (0, 0, 0))
+    # inside each adjacent facet but off the ridge
+    for fi in c.ridge_facets[ridge]:
+        (apex,) = set(c.facets[fi]) - set(ridge)
+        coeffs = {**dict.fromkeys(ridge, 1), apex: 1}
+        assert not ridge_cone_contains(c, ridge, _lam_sum(c, coeffs))
+    # in the ridge's span, one coefficient negative
+    for i in ridge:
+        coeffs = {j: 2 for j in ridge}
+        coeffs[i] = -1
+        assert not ridge_cone_contains(c, ridge, _lam_sum(c, coeffs))
+    i, j = next(
+        (i, j)
+        for i in range(len(c.vertices))
+        for j in range(i + 1, len(c.vertices))
+        if not c.compat[i][j]
+    )
+    with pytest.raises(NotASimplexError):
+        ridge_cone_contains(c, (i, j), inside)
+
+
+def _key(dec):
+    return Counter(dec.schur_parts), dec.gamma
+
+
+def test_locate_equals_generic_decomposition(a3, d4, gf):
+    # the criterion 6 vectors of A3 and D4, then 30 seeded vectors each of
+    # D5 and E6
+    grids = [
+        (a3, derive_rng(42, "alphas", a3.names, a3.arrows), 34),
+        (d4, derive_rng(42, "alphas", d4.names, d4.arrows), 33),
+        (D5, derive_rng(43, "locate", D5.names, D5.arrows), 30),
+        (E6, derive_rng(43, "locate", E6.names, E6.arrows), 30),
+    ]
+    for q, rng, count in grids:
+        c = build_complex(q, gf)
+        for _ in range(count):
+            alpha = tuple(int(x) for x in rng.integers(-6, 7, size=q.n))
+            found = locate(c, alpha)
+            assert found.alpha == alpha and found.reconstruct(q) == alpha
+            assert _key(found) == _key(
+                generic_decomposition(q, alpha, gf, seed=0)
+            ), (q.arrows, alpha)
+
+
+def test_facet_coordinates_scale_exactly(a3, d4, gf):
+    big = 10**20
+    for q in (a3, d4):
+        c = build_complex(q, gf)
+        rng = derive_rng(44, "scaling", q.names, q.arrows)
+        for _ in range(20):
+            x = tuple(int(v) for v in rng.integers(-6, 7, size=q.n))
+            coords = cluster._coordinates(c.inverses, x)
+            assert (cluster._coordinates(c.inverses, [big * v for v in x])
+                    == big * coords.astype(object)).all()
+            small, scaled = locate(c, x), locate(c, [7 * v for v in x])
+            assert _key(scaled) == (
+                Counter({p: 7 * m for p, m in _key(small)[0].items()}),
+                tuple(7 * g for g in small.gamma),
+            )
+            for ridge in c.ridges():
+                for point in (x, _lam_sum(c, {i: 1 for i in ridge})):
+                    assert ridge_cone_contains(c, ridge, point) == (
+                        ridge_cone_contains(c, ridge, [big * v for v in point])
+                    )
+        # a combination of shifted projectives only has no Schur parts, so
+        # locate can be asked at full scale
+        gamma = tuple(range(1, q.n + 1))
+        x = tuple(
+            -sum(g * proj_vector(q, v)[r] for v, g in enumerate(gamma))
+            for r in range(q.n)
+        )
+        found = locate(c, [big * v for v in x])
+        assert found.schur_parts == ()
+        assert found.gamma == tuple(big * g for g in gamma)
+        # Schur parts are listed with multiplicity, so that many are refused
+        with pytest.raises(VsiError, match="Schur parts"):
+            locate(c, [big] + [0] * (q.n - 1))
 
 
 def test_complex_json_round_trip(a3, gf):
@@ -259,6 +344,26 @@ def test_complex_json_round_trip(a3, gf):
     assert back.facets == c.facets
     assert [v.vector for v in back.vertices] == [v.vector for v in c.vertices]
     assert back.ridges() == c.ridges()
+    assert (back.inverses == c.inverses).all()
+
+
+def test_complex_json_refuses_non_unimodular_facets(a3, gf):
+    data = json.loads(complex_to_json(build_complex(a3, gf), walls=False))
+    facet = data["facets"][0]
+    # doubling one vertex gives |det| = 2, and repeating a vector gives 0
+    doubled = json.loads(json.dumps(data))
+    doubled["vertices"][facet[0]]["vector"] = [
+        2 * x for x in doubled["vertices"][facet[0]]["vector"]
+    ]
+    singular = json.loads(json.dumps(data))
+    singular["vertices"][facet[1]] = singular["vertices"][facet[0]]
+    for bad in (doubled, singular):
+        with pytest.raises(ParseError, match="det"):
+            complex_from_json(a3, gf, json.dumps(bad))
+    with pytest.raises(ParseError):
+        short = json.loads(json.dumps(data))
+        short["facets"][0] = facet[:2]
+        complex_from_json(a3, gf, json.dumps(short))
 
 
 def test_export_formats(a2, a3, a4, gf):

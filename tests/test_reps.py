@@ -18,12 +18,10 @@ from vsi import (
     euler_form,
     ext_dim,
     fitting_decompose,
-    fitting_summands,
     generic_ext,
     generic_hom,
     hom_dim,
     hom_space,
-    is_schur_sample,
     mix_seed,
     random_glpoint,
     random_rep,
@@ -142,21 +140,21 @@ def test_conjugate_rep_handles_zero_dimension_entries(ex_quiver, gf, qq):
 
 
 def test_simple_rep_is_schur_sample(a3, gf):
-    assert is_schur_sample(_simple(a3, gf, 1))
+    assert end_dim(_simple(a3, gf, 1)) == 1
     m = direct_sum(_simple(a3, gf, 0), _simple(a3, gf, 0))
-    assert not is_schur_sample(m)
+    assert end_dim(m) != 1
 
 
 def test_fitting_splits_direct_sum_of_simples(a3, gf):
     m = direct_sum(_simple(a3, gf, 0), direct_sum(_simple(a3, gf, 1), _simple(a3, gf, 2)))
     parts = fitting_decompose(m, seed=2)
-    assert sorted(p.dim for p in parts) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(p.dim for p, _ in parts) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_fitting_keeps_indecomposables_whole(a2, gf):
     # the generic (1,1) rep on one arrow is indecomposable
     m = random_rep(a2, (1, 1), gf, seed=3)
-    assert fitting_decompose(m, seed=0) == [m]
+    assert fitting_decompose(m, seed=0) == [(m, 1)]
 
 
 def test_fitting_multiset_is_seed_stable(ex_quiver, gf):
@@ -164,8 +162,8 @@ def test_fitting_multiset_is_seed_stable(ex_quiver, gf):
     reference = None
     for seed in range(5):
         parts = fitting_decompose(m, seed=seed)
-        combo = Counter(p.dim for p in parts)
-        total = tuple(sum(p.dim[v] for p in parts) for v in range(3))
+        combo = Counter(p.dim for p, _ in parts)
+        total = tuple(sum(p.dim[v] for p, _ in parts) for v in range(3))
         assert total == (2, 3, 4)
         if reference is None:
             reference = combo
@@ -182,7 +180,7 @@ def test_fitting_keeps_local_scalar_plus_nilpotent_end_ring_whole(gf):
     m = Representation(kron, gf, (2, 2), [gf.eye(2), jordan])
     assert end_dim(m) == 2
     parts = fitting_decompose(m, seed=0)
-    assert [p.dim for p in parts] == [(2, 2)]
+    assert [p.dim for p, _ in parts] == [(2, 2)]
 
 
 def test_random_rep_is_deterministic_per_seed(ex_quiver, gf):
@@ -224,7 +222,7 @@ def test_fitting_keeps_extension_field_end_ring_whole(gf):
     m = Representation(kron, gf, (2, 2), [gf.eye(2), comp])
     assert end_dim(m) == 2
     parts = fitting_decompose(m, seed=0)
-    assert [p.dim for p in parts] == [(2, 2)]
+    assert [p.dim for p, _ in parts] == [(2, 2)]
 
 
 def test_fitting_splits_off_extension_blocks(gf):
@@ -232,8 +230,8 @@ def test_fitting_splits_off_extension_blocks(gf):
     b = gf.mat_of(3, 3, [[0, gf.s_neg(1), 0], [1, 0, 0], [0, 0, 5]])
     m = Representation(kron, gf, (3, 3), [gf.eye(3), b])
     parts = fitting_decompose(m, seed=0)
-    assert sorted(p.dim for p in parts) == [(1, 1), (2, 2)]
-    assert sorted(end_dim(p) for p in parts) == [1, 2]
+    assert sorted(p.dim for p, _ in parts) == [(1, 1), (2, 2)]
+    assert sorted(end_dim(p) for p, _ in parts) == [1, 2]
 
 
 def _mixed_sum(q, field, dims, seed):
@@ -300,12 +298,12 @@ def test_every_fitting_split_compresses_to_hom_space(
         random_rep(d4, (1, 1, 0, 2), gf, seed=3),
     )
     for rep in (m, n):
-        pairs = fitting_summands(rep, seed=4)
-        parts = fitting_decompose(rep, seed=4)
-        assert [s.dim for s, _ in pairs] == [s.dim for s in parts]
+        pairs = fitting_decompose(rep, seed=4)
+        again = fitting_decompose(rep, seed=4)
+        assert [s.dim for s, _ in pairs] == [s.dim for s, _ in again]
         assert all(
             gf.eq(x, y)
-            for (s, _), t in zip(pairs, parts)
+            for (s, _), (t, _) in zip(pairs, again)
             for x, y in zip(s.mats, t.mats)
         )
         assert [d for _, d in pairs] == [end_dim(s) for s, _ in pairs]
@@ -320,12 +318,12 @@ def test_fitting_refuses_primes_not_above_the_total_dimension(a3):
         fitting_decompose(m, seed=0)
     # End = k needs no leaf test, and a prime above the dimension splits
     brick = Representation(a3, f, (1, 1, 1), [f.eye(1), f.eye(1)])
-    assert fitting_decompose(brick, seed=0) == [brick]
+    assert fitting_decompose(brick, seed=0) == [(brick, 1)]
     f5 = prime_field(5)
     m5 = direct_sum(
         _simple(a3, f5, 0), direct_sum(_simple(a3, f5, 1), _simple(a3, f5, 0))
     )
-    assert sorted(p.dim for p in fitting_decompose(m5, seed=0)) == [
+    assert sorted(p.dim for p, _ in fitting_decompose(m5, seed=0)) == [
         (0, 1, 0), (1, 0, 0), (1, 0, 0)
     ]
 
