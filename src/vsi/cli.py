@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad input, undefined value), 2
-verification failure (an invariant or golden check did not hold).  All
-randomized subcommands are deterministic given --seed and --field; VSI_SEED
+verification failure (an invariant or golden check did not hold).  On a
+Dynkin quiver only `cv` samples; other answers ignore --field and --seed.
+Randomized subcommands are deterministic given --seed and --field; VSI_SEED
 overrides the default seed when the flag is absent.
 """
 

@@ -10,6 +10,8 @@ positive roots whose support cone D(beta) contains them.
 The face cones partition R^n and each facet's lambda vectors form a Z-basis,
 so one certified table of integer facet inverses answers every cone question
 exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering test.
+`walk_locate` finds the facet cone of a vector without listing the facets;
+the decomposition module asks it every Dynkin decomposition and generic ext.
 """
 
 from __future__ import annotations
@@ -19,17 +21,14 @@ import functools
 import itertools
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .decomposition import (
-    GenericDecomposition,
-    cached_generic_ext,
-    generic_decomposition,
-)
+from .decomposition import GenericDecomposition, cached_generic_ext, is_schur_root
 from .errors import (
     EmptyLabelError,
     InvariantViolationError,
@@ -40,7 +39,7 @@ from .errors import (
     VsiError,
     ZeroCoefficientsError,
 )
-from .fields import Field, derive_rng, mix_seed
+from .fields import Field, mix_seed
 from .quiver import (
     DimVector,
     Quiver,
@@ -49,7 +48,6 @@ from .quiver import (
     euler_form,
     proj_vector,
 )
-from .reps import end_dim, ext_dim, random_rep
 
 
 def symmetrized_euler(q: Quiver) -> list[list[int]]:
@@ -57,6 +55,7 @@ def symmetrized_euler(q: Quiver) -> list[list[int]]:
     return [[e[i][j] + e[j][i] for j in range(q.n)] for i in range(q.n)]
 
 
+@functools.lru_cache(maxsize=64)
 def is_dynkin(q: Quiver) -> bool:
     """Positive definiteness of E + E^t, by exact leading principal minors."""
     return all(m > 0 for m in linalg.leading_minors(symmetrized_euler(q)))
@@ -116,31 +115,6 @@ def complex_vertices(q: Quiver) -> tuple[ComplexVertex, ...]:
     return tuple(ComplexVertex(kind="root", vector=r) for r in roots) + shifted
 
 
-def _schur_witness(q: Quiver, a: DimVector, field: Field, seed: int, tries: int = 50):
-    for t in range(tries):
-        m = random_rep(q, a, field, mix_seed(seed, "witness", a, t))
-        if end_dim(m) == 1:
-            return m
-    raise InvariantViolationError(f"no Schur representation found for {a}")
-
-
-_exact_ext_cache: dict[tuple, int] = {}
-
-
-def exact_root_ext(q: Quiver, a: DimVector, b: DimVector, field: Field, seed: int = 0):
-    """Deterministic oracle: ext between the unique indecomposables.
-
-    On a Dynkin quiver each positive root has one indecomposable up to
-    isomorphism, so ext_dim between Schur witnesses is exact, not sampled.
-    """
-    key = (q, field.name, a, b)
-    if key not in _exact_ext_cache:
-        ma = _schur_witness(q, a, field, seed)
-        mb = _schur_witness(q, b, field, seed + 1)
-        _exact_ext_cache[key] = ext_dim(ma, mb)
-    return _exact_ext_cache[key]
-
-
 def _shifted_compatible(x: ComplexVertex, y: ComplexVertex) -> bool:
     """Root beta against shifted P(v)[1]: beta_v = 0.  Two shifted: always."""
     if x.kind == "shifted" and y.kind == "shifted":
@@ -152,7 +126,7 @@ def _shifted_compatible(x: ComplexVertex, y: ComplexVertex) -> bool:
 def compatible(
     q: Quiver, x: ComplexVertex, y: ComplexVertex, field: Field, seed: int = 0
 ) -> bool:
-    """Pairwise virtual semi-tilting condition, with sampled generic ext.
+    """Pairwise virtual semi-tilting condition, via `cached_generic_ext`.
 
     Two roots: vanishing generic ext both ways; a shifted vertex follows
     `_shifted_compatible`.  Holds on any acyclic quiver; `build_complex` uses
@@ -175,7 +149,6 @@ class TiltingComplex:
     matrix (column k the lambda vector of `facets[f][k]`)."""
 
     quiver: Quiver
-    field: Field
     seed: int
     vertices: tuple[ComplexVertex, ...]
     facets: tuple[tuple[int, ...], ...]
@@ -224,16 +197,27 @@ def primitive_ray(vec) -> DimVector:
     return tuple(int(x) // g for x in vec)
 
 
-def _dynkin_compatible(q: Quiver, x: ComplexVertex, y: ComplexVertex) -> bool:
-    """Closed form on a Dynkin quiver.  The AR quiver is directed, so hom and
-    ext between indecomposables are never both nonzero: ext(a, b) =
-    max(0, -<a, b>), and two roots are compatible iff both forms are >= 0."""
-    if x.kind == "shifted" or y.kind == "shifted":
-        return _shifted_compatible(x, y)
-    return (
-        euler_form(q, x.vector, y.vector) >= 0
-        and euler_form(q, y.vector, x.vector) >= 0
-    )
+@functools.lru_cache(maxsize=64)
+def _fan(q: Quiver) -> tuple[tuple[ComplexVertex, ...], np.ndarray]:
+    """q's complex vertices and their compatibility matrix, in closed form.
+
+    The AR quiver of a Dynkin quiver is directed, so hom and ext between
+    indecomposables are never both nonzero: ext(a, b) = max(0, -<a, b>), and
+    two roots are compatible iff both forms are >= 0.  A root and a shifted
+    vertex follow `_shifted_compatible`.
+    """
+    _require_dynkin(q)
+    verts = complex_vertices(q)
+    vec = np.array([v.vector for v in verts], dtype=np.int64)
+    form = vec @ np.array(euler_data(q).e, dtype=np.int64) @ vec.T
+    compat = (form >= 0) & (form.T >= 0)
+    root = np.array([v.kind == "root" for v in verts])
+    for j, v in enumerate(verts):
+        if v.kind == "shifted":
+            compat[j] = compat[:, j] = ~root | (vec[:, v.vertex] == 0)
+    np.fill_diagonal(compat, False)
+    compat.flags.writeable = False
+    return verts, compat
 
 
 # Largest |entry| of a lambda matrix, of a certified inverse, or of a point
@@ -243,7 +227,7 @@ def _dynkin_compatible(q: Quiver, x: ComplexVertex, y: ComplexVertex) -> bool:
 _INT64_BOUND = 2**20
 
 
-def _assemble(q, field, seed, verts, facets, error) -> TiltingComplex:
+def _assemble(q, seed, verts, facets, error) -> TiltingComplex:
     """The complex on these facets, with its certified facet inverse table.
 
     Two vertices are compatible iff they share a facet.  One batched float
@@ -275,33 +259,26 @@ def _assemble(q, field, seed, verts, facets, error) -> TiltingComplex:
     compat = tuple(
         tuple(i != j and j in shared[i] for j in range(nv)) for i in range(nv)
     )
-    return TiltingComplex(q, field, seed, tuple(verts), tuple(facets), compat, inverses)
+    return TiltingComplex(q, seed, tuple(verts), tuple(facets), compat, inverses)
 
 
-def build_complex(q: Quiver, field: Field, seed: int = 0) -> TiltingComplex:
+def build_complex(q: Quiver, field: Field | None, seed: int = 0) -> TiltingComplex:
     """Clique complex of the compatibility graph, with build-time invariants.
 
-    Compatibility is exact Euler-form arithmetic, so the complex does not
-    depend on `field` or `seed`; both are kept for `verify_sphere`'s covering
-    test.  Every maximal clique must have exactly n vertices whose lambda
-    vectors form a Z-basis, certified by the facet inverse table.
+    Compatibility is exact Euler-form arithmetic, so `field` is not used;
+    `seed` picks `verify_sphere`'s covering samples.  Every maximal clique
+    must have exactly n vertices whose lambda vectors form a Z-basis,
+    certified by the facet inverse table.
     """
-    _require_dynkin(q)
-    verts = complex_vertices(q)
-    nv = len(verts)
-    adj: list[set[int]] = [set() for _ in range(nv)]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if _dynkin_compatible(q, verts[i], verts[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-    facets = _max_cliques(adj, nv)
+    verts, compat = _fan(q)
+    adj = [set(np.flatnonzero(row).tolist()) for row in compat]
+    facets = _max_cliques(adj, len(verts))
     for facet in facets:
         if len(facet) != q.n:
             raise InvariantViolationError(
                 f"maximal clique {facet} has size {len(facet)}, not {q.n}"
             )
-    return _assemble(q, field, seed, verts, facets, InvariantViolationError)
+    return _assemble(q, seed, verts, facets, InvariantViolationError)
 
 
 def _coordinates(inverses: np.ndarray, x: DimVector) -> np.ndarray:
@@ -312,21 +289,12 @@ def _coordinates(inverses: np.ndarray, x: DimVector) -> np.ndarray:
     return inverses.astype(object) @ np.array(x, dtype=object)
 
 
-def locate(c: TiltingComplex, x) -> GenericDecomposition:
-    """The generic decomposition of x read off the first facet whose cone
-    contains it: a root vertex with coordinate t gives t copies of its root,
-    a shifted vertex P(v)[1] gives gamma_v = t.  Exact for every integer x;
-    VsiError if the part list, kept with multiplicity, would pass 2^20."""
-    x = check_dim_vector(c.quiver, x)
-    coords = _coordinates(c.inverses, x)
-    inside = np.flatnonzero((coords >= 0).all(axis=1))
-    if not inside.size:
-        raise InvariantViolationError(f"no facet cone contains {x}")
-    fi = int(inside[0])
+def _read_facet(q: Quiver, x: DimVector, vertices, coords) -> GenericDecomposition:
+    """A root vertex with coordinate t gives t copies of its root, a shifted
+    P(v)[1] gives gamma_v = t; VsiError past 2^20 parts."""
     parts: list[DimVector] = []
-    gamma = [0] * c.quiver.n
-    for i, t in zip(c.facets[fi], coords[fi]):
-        v = c.vertices[i]
+    gamma = [0] * q.n
+    for v, t in zip(vertices, coords):
         if v.kind == "shifted":
             gamma[v.vertex] = int(t)
         elif len(parts) + t > _INT64_BOUND:
@@ -334,6 +302,78 @@ def locate(c: TiltingComplex, x) -> GenericDecomposition:
         else:
             parts.extend([v.vector] * int(t))
     return GenericDecomposition(x, tuple(sorted(parts)), tuple(gamma))
+
+
+def locate(c: TiltingComplex, x) -> GenericDecomposition:
+    """The generic decomposition of x read off the first facet whose cone
+    contains it.  Exact for every integer x."""
+    x = check_dim_vector(c.quiver, x)
+    coords = _coordinates(c.inverses, x)
+    inside = np.flatnonzero((coords >= 0).all(axis=1))
+    if not inside.size:
+        raise InvariantViolationError(f"no facet cone contains {x}")
+    fi = int(inside[0])
+    return _read_facet(c.quiver, x, [c.vertices[i] for i in c.facets[fi]], coords[fi])
+
+
+def walk_locate(q: Quiver, x) -> GenericDecomposition:
+    """`locate` on q's complex without listing its facets (Catalan(n + 1)
+    of them on A_n).  Walks the segment from a point p inside the projectives'
+    cone to x: the coordinate that first falls to 0 names the ridge crossed,
+    and the one other vertex compatible with that ridge replaces it, a
+    unimodular flip.  A line crosses each wall hyperplane <., beta> = 0 once,
+    so there is at most one flip per positive root.  If the segment meets a
+    face of codimension 2, p moves along the moment curve."""
+    return _walk(q, check_dim_vector(q, x))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _walk(q: Quiver, x: DimVector) -> GenericDecomposition:
+    verts, compat = _fan(q)
+    n = q.n
+    e = euler_data(q).e
+    start = [verts.index(ComplexVertex("root", proj_vector(q, v))) for v in range(n)]
+    for r in range(2, 34):
+        facet = list(start)
+        # row k: row k of the facet's inverse (E^t, as the projectives' lambda
+        # matrix is (E^t)^-1), then coordinate k of p and of x
+        rows = [
+            [e[j][k] for j in range(n)]
+            + [r**k, sum(e[j][k] * x[j] for j in range(n))]
+            for k in range(n)
+        ]
+        for _ in range(len(verts)):
+            coords = [row[-1] for row in rows]
+            leaving = [k for k in range(n) if coords[k] < 0]
+            if not leaving:
+                return _read_facet(q, x, [verts[i] for i in facet], coords)
+            # coordinate k falls from p's to x's and is 0 at t = cp/(cp - cx)
+            times = sorted(
+                (Fraction(rows[k][-2], rows[k][-2] - coords[k]), k) for k in leaving
+            )
+            if len(times) > 1 and times[0][0] == times[1][0]:
+                break  # the segment meets a face of codimension 2
+            k = times[0][1]
+            ridge = facet[:k] + facet[k + 1 :]
+            others = [int(u) for u in np.flatnonzero(compat[ridge].all(axis=0))]
+            others.remove(facet[k])
+            if len(others) != 1:
+                raise InvariantViolationError(f"ridge {ridge} is not in 2 facets")
+            u = others[0]
+            a = [sum(m * y for m, y in zip(row, verts[u].lam)) for row in rows]
+            if a[k] != -1:
+                raise InvariantViolationError(f"flip of {facet} at {k} not unimodular")
+            # lam(u) = sum_j a_j lam(facet[j]) with a_k = -1: coordinate k
+            # changes sign and every other one gains a_j times it
+            pivot = [-y for y in rows[k]]
+            rows = [
+                pivot if j == k else [y - a[j] * z for y, z in zip(rows[j], pivot)]
+                for j in range(n)
+            ]
+            facet[k] = u
+        else:
+            raise InvariantViolationError(f"the walk to {x} crossed a wall twice")
+    raise InvariantViolationError(f"every segment to {x} met a face of codimension 2")
 
 
 # ------------------------------------------------------------------- lambda
@@ -389,15 +429,16 @@ class SphereReport:
 def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     """All structural sphere checks for a built Dynkin complex.
 
-    Purity, every ridge in exactly two facets, facet-adjacency connectivity,
-    Euler characteristic of S^{n-1}, injectivity of lambda on vertices, and a
-    covering test: for each of `samples` random integer vectors the sampled
-    generic decomposition must equal the one `locate` reads off the facet
-    table (same parts with multiplicity, same gamma).
+    Some facet, purity, every ridge in exactly two facets, facet-adjacency
+    connectivity, Euler characteristic of S^{n-1}, injectivity of lambda on
+    vertices, and an exact covering test: each of `samples` random integer
+    vectors has coordinates >= 0 on some facet and > 0 on at most one.
     """
     q = c.quiver
     n = q.n
     failures: list[str] = []
+    if not c.facets:
+        failures.append("no facets")
     if any(len(f) != n for f in c.facets):
         failures.append("impure: facet of wrong size")
     bad = [r for r, members in c.ridge_facets.items() if len(members) != 2]
@@ -426,21 +467,17 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     rays = [_to_sphere(v.lam).ray for v in c.vertices]
     if len(set(rays)) != len(rays):
         failures.append("lambda is not injective on vertices")
-    # covering: the sampled decomposition of random integer vectors is the
-    # one read off the facet cone that contains them
-    rng = derive_rng(c.seed, "covering", q.names, q.arrows)
+    # a few hundred small integers: the standard library generator will do
+    rng = random.Random(mix_seed(c.seed, "covering", q.names, q.arrows))
     checked = 0
     while checked < samples:
-        x = tuple(int(e) for e in rng.integers(-6, 7, size=n))
+        x = tuple(rng.randint(-6, 6) for _ in range(n))
         if not any(x):
             continue
         checked += 1
-        dec = generic_decomposition(
-            q, x, c.field, seed=mix_seed(c.seed, "covering", x)
-        )
-        found = locate(c, x)
-        if (dec.schur_parts, dec.gamma) != (found.schur_parts, found.gamma):
-            failures.append(f"decomposition {dec} differs from its facet's {found}")
+        coords = _coordinates(c.inverses, x)
+        if not (coords >= 0).all(axis=1).any() or (coords > 0).all(axis=1).sum() > 1:
+            failures.append(f"{x} lies in no facet cone, or inside two")
             break
     return SphereReport(
         euler_characteristic=chi,
@@ -545,32 +582,40 @@ def complex_to_json(c: TiltingComplex, walls: bool = True) -> str:
     return json.dumps(data, indent=2)
 
 
-def complex_from_json(q: Quiver, field: Field, text: str) -> TiltingComplex:
-    """Read `complex_to_json` output.  Every facet must list n vertices whose
-    lambda vectors form a Z-basis; anything else is a ParseError."""
+def _int_tuple(value) -> tuple[int, ...]:
+    # int() would truncate a float silently; bool is an int subclass
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ParseError(f"expected a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def complex_from_json(q: Quiver, text: str) -> TiltingComplex:
+    """Read `complex_to_json` output: vertices of kind root, or shifted with a
+    quiver vertex, with integer vectors, and facets of n vertices whose lambda
+    vectors form a Z-basis.  Anything else is a ParseError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad complex JSON: {exc}") from None
-    if not isinstance(data, dict) or "vertices" not in data or "facets" not in data:
-        raise ParseError("complex JSON needs 'vertices' and 'facets'")
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(k), list) for k in ("vertices", "facets")
+    ):
+        raise ParseError("complex JSON needs 'vertices' and 'facets' lists")
     verts = []
     for entry in data["vertices"]:
-        vertex = entry.get("vertex")
-        verts.append(
-            ComplexVertex(
-                kind=entry["kind"],
-                vector=tuple(int(x) for x in entry["vector"]),
-                vertex=q.index(vertex) if vertex is not None else None,
-            )
-        )
-    facets = tuple(tuple(int(i) for i in f) for f in data["facets"])
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        vertex = entry.get("vertex") if kind == "shifted" else None
+        if kind not in ("root", "shifted") or kind == "shifted" and vertex is None:
+            raise ParseError(f"vertex {entry!r}: kind root, or shifted and a vertex")
+        index = None if vertex is None else q.index(vertex)
+        verts.append(ComplexVertex(kind, _int_tuple(entry.get("vector")), index))
+    facets = tuple(_int_tuple(f) for f in data["facets"])
     nv = len(verts)
     if any(len(v.vector) != q.n for v in verts) or any(
         len(set(f)) != q.n or not set(f) <= set(range(nv)) for f in facets
     ):
         raise ParseError(f"complex JSON needs {q.n}-vectors and {q.n}-vertex facets")
-    return _assemble(q, field, 0, verts, facets, ParseError)
+    return _assemble(q, 0, verts, facets, ParseError)
 
 
 def export_complex(c: TiltingComplex, fmt: str) -> str:
@@ -627,8 +672,6 @@ def truncated_compatibility(
     """Exploratory mode for non-Dynkin quivers: Schur roots with entries up to
     `bound`, shifted projectives, and their compatibility graph.  No sphere or
     facet-size guarantees are made; cliques are reported as found."""
-    from .decomposition import is_schur_root
-
     candidates = [
         a
         for a in itertools.product(range(bound + 1), repeat=q.n)

@@ -1,11 +1,13 @@
 """Generic decomposition of virtual dimension vectors and D(beta) supports.
 
-The generic decomposition of alpha is computed the way it is defined: split
-off the canonical pair (mu, gamma), sample a random representation of mu,
-break it into indecomposables, and certify the result (Schur parts, vanishing
-generic ext in both orders, support disjointness).  D(beta) is cut out by one
-Euler-form equality and one inequality per generic subrepresentation vector,
-the latter decided by the ext-vanishing criterion.
+On a Dynkin quiver the answers are closed-form and field-free, read off the
+facet cone of the tilting complex that holds the vector.  Elsewhere the
+generic decomposition is computed as defined: split off the canonical pair
+(mu, gamma), sample a random representation of mu, break it into
+indecomposables, and certify the result (Schur parts, vanishing generic ext
+both ways, support disjointness).
+D(beta) is cut out by one Euler-form equality and one inequality per generic
+subrepresentation vector, decided by the ext-vanishing criterion.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .quiver import (
     check_dim_vector,
     euler_data,
     euler_form,
+    tits_form,
 )
 from .reps import (
     check_nonneg,
@@ -44,10 +47,23 @@ from .reps import (
 _ext_cache: dict[tuple, int] = {}
 
 
+def _dynkin_locate(q: Quiver):
+    """`cluster.walk_locate` if q is Dynkin, else None.  The facet cone
+    holding a vector gives its Schur parts and its gamma."""
+    from .cluster import is_dynkin, walk_locate  # cluster imports this module
+
+    return walk_locate if is_dynkin(q) else None
+
+
 def cached_generic_ext(
     q: Quiver, a: DimVector, b: DimVector, field: Field, trials: int = 3
 ) -> int:
-    """generic_ext with a deterministic derived seed, memoized per (a, b)."""
+    """Generic ext(a, b).  Dynkin: sum max(0, -<x, y>) over the
+    `walk_locate` parts x of a and y of b, exact and field-free (Schofield).  Elsewhere:
+    generic_ext with a deterministic derived seed, memoized per (a, b)."""
+    if (locate := _dynkin_locate(q)) is not None:
+        xs, ys = (locate(q, check_nonneg(q, v)).schur_parts for v in (a, b))
+        return sum(max(0, -euler_form(q, x, y)) for x in xs for y in ys)
     key = (q, field.name, a, b, trials)
     if key not in _ext_cache:
         seed = mix_seed(0, "pairext", q.names, q.arrows, a, b)
@@ -77,10 +93,13 @@ def generic_decomposition(
 ) -> GenericDecomposition:
     """Decompose alpha into Schur roots minus a shifted-projective part.
 
-    Samples a random representation of the canonical mu, decomposes it, and
-    validates the part list; resamples on any validation failure.
+    On a Dynkin quiver this is `walk_locate`, so `field` and `seed` do not
+    change it.  Elsewhere: samples a random representation of the canonical mu,
+    decomposes it, and validates the part list; resamples on any failure.
     """
     a = check_dim_vector(q, a)
+    if (locate := _dynkin_locate(q)) is not None:
+        return locate(q, a)
     mu, gamma = canonical_decomp(q, a)
     gamma_support = {v for v in range(q.n) if gamma[v]}
     last_failure = "no samples taken"
@@ -144,10 +163,13 @@ def _validate_parts(q, field, parts, gamma_support) -> str | None:
 def is_schur_root(
     q: Quiver, a, field: Field, seed: int = 0, trials: int = 3
 ) -> bool:
-    """True if some sampled representation of a has trivial endomorphisms."""
+    """Dynkin: Tits form 1, whatever the field and seed.  Elsewhere: some
+    sampled representation of a has trivial endomorphisms."""
     a = check_nonneg(q, a)
     if all(x == 0 for x in a):
         raise ZeroVectorError("the zero vector is not a root")
+    if _dynkin_locate(q) is not None:
+        return tits_form(q, a) == 1
     return any(
         end_dim(random_rep(q, a, field, mix_seed(seed, "schur", t))) == 1
         for t in range(trials)
@@ -183,7 +205,8 @@ class HalfSpaceSystem:
 
 
 def d_beta_halfspaces(q: Quiver, b, field: Field) -> HalfSpaceSystem:
-    """Equality E.beta and one inequality E.beta' per subrep vector beta'."""
+    """Equality E.beta and one inequality E.beta' per subrep vector beta'
+    (field-free on a Dynkin quiver, as `cached_generic_ext` is)."""
     b = check_nonneg(q, b)
     if all(x == 0 for x in b):
         raise ZeroVectorError("D(beta) needs a nonzero beta")
@@ -207,7 +230,8 @@ _halfspace_cache: dict[tuple, HalfSpaceSystem] = {}
 
 
 def d_membership(q: Quiver, a, b, field: Field) -> bool:
-    """Exact integer test of a against the halfspace system of D(b)."""
+    """Exact integer test of a against the halfspace system of D(b), which on
+    a Dynkin quiver does not depend on `field`."""
     a = check_dim_vector(q, a)
     key = (q, field.name, tuple(int(x) for x in b))
     if key not in _halfspace_cache:

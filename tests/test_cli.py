@@ -128,14 +128,57 @@ def test_small_prime_decompose_is_refused(capsys):
     assert "p = 2" in err and "total dimension 8" in err
 
 
-def test_d4_complex_verify_over_fp2_is_refused(capsys, tmp_path):
+@pytest.mark.parametrize("field", ["fp:2", "fp:3"])
+def test_d4_complex_verify_over_small_primes(capsys, tmp_path, field):
+    # the covering test reads the facet table, so no field is sampled
     path = tmp_path / "d4.quiver"
     path.write_text("1 -> 4\n2 -> 4\n3 -> 4\n", encoding="utf-8")
-    code, _, err = _run(
+    code, out, err = _run(
+        capsys, "--quiver", str(path), "--field", field, "complex", "verify"
+    )
+    assert code == 0, err
+    assert "all sphere checks passed" in out
+
+
+def test_e8_complex_verify_over_fp2(capsys, tmp_path):
+    path = tmp_path / "e8.quiver"
+    path.write_text(
+        "1 -> 2\n2 -> 3\n3 -> 4\n4 -> 5\n5 -> 6\n6 -> 7\n8 -> 3\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(
         capsys, "--quiver", str(path), "--field", "fp:2", "complex", "verify"
     )
-    assert code == 1, err
-    assert "p = 2" in err and "total dimension" in err
+    assert code == 0, err
+    assert "all sphere checks passed" in out
+
+
+def test_dynkin_repeated_summand_decomposes_over_q(capsys, tmp_path):
+    # read off the facet cone; the sampled Fitting split is not used here
+    path = tmp_path / "a3.quiver"
+    path.write_text("1 -> 2\n2 -> 3\n", encoding="utf-8")
+    code, out, err = _run(
+        capsys, "--quiver", str(path), "--field", "q", "--format", "json",
+        "decompose", "--", "2,0,0",
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["parts"] == [[1, 0, 0], [1, 0, 0]]
+    assert data["gamma"] == [0, 0, 0]
+
+
+def test_a14_decompose_needs_no_complex(capsys, tmp_path):
+    # A14's complex has about 9.7 million facets; decompose never lists them
+    path = tmp_path / "a14.quiver"
+    path.write_text("".join(f"{i} -> {i + 1}\n" for i in range(1, 14)))
+    t0 = time.perf_counter()
+    code, out, err = _run(
+        capsys, "--quiver", str(path), "--field", "fp:2", "--format", "json",
+        "decompose", "--", ",".join(["1"] * 14),
+    )
+    assert code == 0, err
+    assert json.loads(out)["parts"] == [[1] * 14]
+    assert time.perf_counter() - t0 < 5
 
 
 def test_large_prime_decomposes_like_the_default(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,27 +17,34 @@ from vsi import (
     VsiError,
     ZeroCoefficientsError,
     build_complex,
+    cached_generic_ext,
+    canonical_decomp,
     compatible,
     complex_from_json,
     complex_to_json,
     complex_vertices,
     derive_rng,
     euler_form,
-    exact_root_ext,
     export_complex,
+    fitting_decompose,
     generic_decomposition,
+    generic_ext,
     is_dynkin,
+    is_schur_root,
     lambda_point,
     linear_type_a_facet_count,
     locate,
+    mix_seed,
     polygon_triangulation_count,
     positive_roots,
     primitive_ray,
     proj_vector,
+    random_rep,
     ridge_cone_contains,
     tits_form,
     truncated_compatibility,
     verify_sphere,
+    walk_locate,
     wall_labels,
 )
 from vsi import cluster
@@ -140,7 +148,7 @@ def test_three_vertex_and_d4_counts(a3, d4, gf):
 
 def test_exact_and_randomized_compatibility_agree(a3, d4, gf):
     # build_complex uses the Euler-form closed form; check it on every pair
-    # against the sampled ext and the Schur-witness ext oracle
+    # against `compatible` and against generic ext sampled over a field
     for q in (a3, d4):
         c = build_complex(q, gf)
         verts = c.vertices
@@ -154,8 +162,8 @@ def test_exact_and_randomized_compatibility_agree(a3, d4, gf):
                 assert closed == compatible(q, x, y, gf), (q.names, x, y)
                 if x.kind == "root" and y.kind == "root":
                     exact = (
-                        exact_root_ext(q, x.vector, y.vector, gf) == 0
-                        and exact_root_ext(q, y.vector, x.vector, gf) == 0
+                        generic_ext(q, x.vector, y.vector, gf, seed=i) == 0
+                        and generic_ext(q, y.vector, x.vector, gf, seed=j) == 0
                     )
                 else:
                     shifted = x if x.kind == "shifted" else y
@@ -166,15 +174,14 @@ def test_exact_and_randomized_compatibility_agree(a3, d4, gf):
                 assert closed == exact, (q.names, x, y)
 
 
-def test_exact_root_ext_matches_euler_form_defect(a3, gf):
+def test_dynkin_generic_ext_matches_euler_form_defect(a3, gf):
     # on a Dynkin quiver hom and ext of distinct roots cannot both be
-    # nonzero, so ext = max(0, -<a, b>) plus the hom correction computed by
-    # the witness route; spot-check hand values
-    assert exact_root_ext(a3, (1, 0, 0), (0, 1, 0), gf) == 1
-    assert exact_root_ext(a3, (0, 1, 0), (1, 0, 0), gf) == 0
+    # nonzero, so ext = max(0, -<a, b>); spot-check hand values
+    assert cached_generic_ext(a3, (1, 0, 0), (0, 1, 0), gf) == 1
+    assert cached_generic_ext(a3, (0, 1, 0), (1, 0, 0), gf) == 0
     # the nonsplit extension 0 -> S(3) -> [1,1,1] -> [1,1,0] -> 0
-    assert exact_root_ext(a3, (1, 1, 0), (0, 0, 1), gf) == 1
-    assert exact_root_ext(a3, (0, 0, 1), (1, 1, 0), gf) == 0
+    assert cached_generic_ext(a3, (1, 1, 0), (0, 0, 1), gf) == 1
+    assert cached_generic_ext(a3, (0, 0, 1), (1, 1, 0), gf) == 0
 
 
 def test_facets_are_cliques_of_size_n(a3, gf):
@@ -280,12 +287,28 @@ def _key(dec):
     return Counter(dec.schur_parts), dec.gamma
 
 
-def test_locate_equals_generic_decomposition(a3, d4, gf):
-    # the criterion 6 vectors of A3 and D4, then 30 seeded vectors each of
-    # D5 and E6
+def _sampled_decomposition(q, alpha, field):
+    """The definition, sampled: the Fitting summands of a random
+    representation of the canonical mu, each with End = k, beside gamma."""
+    mu, gamma = canonical_decomp(q, alpha)
+    m = random_rep(q, mu, field, mix_seed(0, "oracle", alpha))
+    summands = fitting_decompose(m, mix_seed(0, "oracle-fit", alpha))
+    assert all(d == 1 for _, d in summands), (q.arrows, alpha)
+    return Counter(s.dim for s, _ in summands), gamma
+
+
+A2_REV = Quiver(["1", "2"], [("2", "1")])
+A4_ALT = Quiver(["1", "2", "3", "4"], [("2", "1"), ("2", "3"), ("4", "3")])
+
+
+def test_locate_equals_generic_decomposition(a3, a3_alt, a4, d4, d4_out, gf):
+    # the criterion 6 vectors of A3 and D4, then seeded vectors on the other
+    # criterion 7 orientations, D5 and E6, against the sampled definition
+    seeded = [(q, 20) for q in (A2_REV, a3_alt, a4, A4_ALT, d4_out)]
     grids = [
         (a3, derive_rng(42, "alphas", a3.names, a3.arrows), 34),
         (d4, derive_rng(42, "alphas", d4.names, d4.arrows), 33),
+        *((q, derive_rng(43, "locate", q.names, q.arrows), k) for q, k in seeded),
         (D5, derive_rng(43, "locate", D5.names, D5.arrows), 30),
         (E6, derive_rng(43, "locate", E6.names, E6.arrows), 30),
     ]
@@ -295,9 +318,61 @@ def test_locate_equals_generic_decomposition(a3, d4, gf):
             alpha = tuple(int(x) for x in rng.integers(-6, 7, size=q.n))
             found = locate(c, alpha)
             assert found.alpha == alpha and found.reconstruct(q) == alpha
-            assert _key(found) == _key(
-                generic_decomposition(q, alpha, gf, seed=0)
-            ), (q.arrows, alpha)
+            assert _key(found) == _sampled_decomposition(q, alpha, gf), (
+                q.arrows,
+                alpha,
+            )
+
+
+def test_walk_locate_equals_the_facet_table(a3, a3_alt, a4, d4, d4_out, gf):
+    boxes = [(A2_REV, 5), (a3, 3), (a3_alt, 3), (a4, 2), (A4_ALT, 2), (d4, 2),
+             (d4_out, 2)]
+    for q, r in boxes:
+        c = build_complex(q, gf)
+        for x in itertools.product(range(-r, r + 1), repeat=q.n):
+            assert walk_locate(q, x) == locate(c, x), (q.arrows, x)
+    for q in (D5, E6):
+        c = build_complex(q, gf)
+        rng = derive_rng(47, "walk", q.names, q.arrows)
+        for _ in range(300):
+            x = tuple(int(v) for v in rng.integers(-9, 10, size=q.n))
+            assert walk_locate(q, x) == locate(c, x), (q.arrows, x)
+    # the first segment to this vector meets a face of codimension 2, so
+    # the walk starts again from another point
+    assert walk_locate(a3, (-3, -4, -6)) == locate(build_complex(a3, gf), (-3, -4, -6))
+    # Python integers past int64, and the same part-list limit as locate
+    shift = tuple(-(10**20) * x for x in proj_vector(d4, 0))
+    assert walk_locate(d4, shift).gamma == (10**20, 0, 0, 0)
+    with pytest.raises(VsiError):
+        walk_locate(d4, (10**20, 0, 0, 0))
+
+
+def _linear(n):
+    names = [str(i) for i in range(1, n + 1)]
+    return Quiver(names, list(zip(names, names[1:])))
+
+
+def test_large_dynkin_quivers_decompose_without_their_complex(gf):
+    # A14 has about 9.7 million facets and D12 hundreds of thousands; the
+    # walk crosses at most one wall per positive root
+    d12 = Quiver(_linear(12).names, [("1", "3")] + list(zip(
+        _linear(12).names[1:], _linear(12).names[2:])))
+    assert is_dynkin(d12)
+    t0 = time.perf_counter()
+    for q in (_linear(14), d12):
+        rng = derive_rng(48, "large", q.names, q.arrows)
+        for _ in range(10):
+            alpha = tuple(int(x) for x in rng.integers(-4, 5, size=q.n))
+            dec = generic_decomposition(q, alpha, gf)
+            assert dec.reconstruct(q) == alpha
+            parts = set(dec.schur_parts)
+            assert all(tits_form(q, p) == 1 for p in parts)
+            assert all(euler_form(q, x, y) >= 0 for x in parts for y in parts)
+            assert not any(p[v] and dec.gamma[v] for p in parts for v in range(q.n))
+        ones = (1,) * q.n
+        assert is_schur_root(q, ones, gf) == (tits_form(q, ones) == 1)
+        assert cached_generic_ext(q, ones, ones, gf) == 0
+    assert time.perf_counter() - t0 < 10
 
 
 def test_facet_coordinates_scale_exactly(a3, d4, gf):
@@ -340,7 +415,7 @@ def test_complex_json_round_trip(a3, gf):
     blob = complex_to_json(c)
     data = json.loads(blob)
     assert data["schema"] == 1
-    back = complex_from_json(a3, gf, blob)
+    back = complex_from_json(a3, blob)
     assert back.facets == c.facets
     assert [v.vector for v in back.vertices] == [v.vector for v in c.vertices]
     assert back.ridges() == c.ridges()
@@ -359,11 +434,34 @@ def test_complex_json_refuses_non_unimodular_facets(a3, gf):
     singular["vertices"][facet[1]] = singular["vertices"][facet[0]]
     for bad in (doubled, singular):
         with pytest.raises(ParseError, match="det"):
-            complex_from_json(a3, gf, json.dumps(bad))
+            complex_from_json(a3, json.dumps(bad))
     with pytest.raises(ParseError):
         short = json.loads(json.dumps(data))
         short["facets"][0] = facet[:2]
-        complex_from_json(a3, gf, json.dumps(short))
+        complex_from_json(a3, json.dumps(short))
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        {"vector": [1, 0]},
+        {"kind": "projective", "vector": [1, 0]},
+        {"kind": "shifted", "vector": [1, 1]},
+        {"kind": "root", "vector": [1, "0"]},
+        {"kind": "root", "vector": [1, 0.5]},
+    ],
+    ids=["no-kind", "unknown-kind", "shifted-without-vertex", "string", "float"],
+)
+def test_complex_json_refuses_malformed_vertices(a2, vertex):
+    with pytest.raises(ParseError):
+        complex_from_json(a2, json.dumps({"vertices": [vertex], "facets": []}))
+
+
+def test_verify_sphere_refuses_an_empty_complex(a2):
+    c = complex_from_json(a2, '{"vertices": [], "facets": []}')
+    report = verify_sphere(c, samples=0)
+    assert not report.ok
+    assert "no facets" in report.failures
 
 
 def test_export_formats(a2, a3, a4, gf):

@@ -1,23 +1,30 @@
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from vsi import (
+    Quiver,
     ZeroVectorError,
     cached_generic_ext,
     d_beta_halfspaces,
     d_membership,
     derive_rng,
+    end_dim,
     euler_form,
     generic_decomposition,
+    generic_ext,
     is_schur_root,
     mix_seed,
+    parse_field,
+    random_rep,
     subrep_test,
     supp_test_randomized,
     tits_form,
 )
+from vsi import decomposition
 
 
 def _parts(dec) -> Counter:
@@ -180,3 +187,68 @@ def test_generic_decomposition_expands_isotropic_multiples(ex_quiver, gf):
     assert dec.reconstruct(ex_quiver) == (-3, 6, 3)
     again = generic_decomposition(ex_quiver, (-3, 6, 3), gf, seed=5)
     assert _parts(again) == _parts(dec)
+
+
+def _box(top):
+    return (x for x in itertools.product(*(range(t + 1) for t in top)) if any(x))
+
+
+def test_dynkin_closed_forms_match_sampling(a2, a3, a3_alt, a4, d4, d4_out, gf):
+    # the sampled definitions, run directly, are the oracle for the closed
+    # forms on every beta in [0, 2]^n
+    for q in (a2, a3, a3_alt, a4, d4, d4_out):
+        for beta in _box((2,) * q.n):
+            sampled_subreps = tuple(
+                sub
+                for sub in _box(beta)
+                if sub != beta
+                and generic_ext(
+                    q, sub, tuple(b - s for b, s in zip(beta, sub)), gf,
+                    seed=mix_seed(5, sub, beta), trials=1,
+                )
+                == 0
+            )
+            assert d_beta_halfspaces(q, beta, gf).subreps == sampled_subreps, (
+                q.arrows,
+                beta,
+            )
+            sampled_schur = any(
+                end_dim(random_rep(q, beta, gf, mix_seed(6, beta, t))) == 1
+                for t in range(3)
+            )
+            assert is_schur_root(q, beta, gf) == sampled_schur, (q.arrows, beta)
+
+
+D5 = Quiver(list("12345"), [("1", "3"), ("2", "3"), ("3", "4"), ("4", "5")])
+E6 = Quiver(
+    list("123456"), [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("6", "3")]
+)
+
+
+def test_dynkin_answers_ignore_field_and_seed_and_never_sample(
+    a3, d4, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Dynkin answer sampled a representation")
+
+    for name in ("random_rep", "fitting_decompose", "generic_ext"):
+        monkeypatch.setattr(decomposition, name, refuse)
+    fields = [parse_field(f) for f in ("fp:2", "fp:3", "fp:32003", "q")]
+    for q in (a3, d4, D5, E6):
+        rng = derive_rng(46, "fieldfree", q.names, q.arrows)
+        for _ in range(5):
+            alpha = tuple(int(x) for x in rng.integers(-4, 5, size=q.n))
+            a = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+            b = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+            beta = tuple(int(x) for x in rng.integers(1, 3, size=q.n))
+            answers = {
+                (
+                    generic_decomposition(q, alpha, f, seed=seed),
+                    cached_generic_ext(q, a, b, f),
+                    d_beta_halfspaces(q, beta, f),
+                    is_schur_root(q, beta, f, seed=seed),
+                )
+                for f in fields
+                for seed in (0, 7)
+            }
+            assert len(answers) == 1, (q.arrows, alpha, a, b)
