@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad input, undefined value), 2
-verification failure (an invariant or golden check did not hold).  On a
-Dynkin quiver only `cv` samples; other answers ignore --field and --seed.
-Randomized subcommands are deterministic given --seed and --field; VSI_SEED
-overrides the default seed when the flag is absent.
+verification failure (an invariant or golden check did not hold).  Only
+`cv` depends on --field; generic answers sample over fp:32003, and on a
+Dynkin quiver only `cv` samples.  Randomized subcommands are deterministic
+given --seed; VSI_SEED overrides the default seed when the flag is absent.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--field",
         default=argparse.SUPPRESS,
-        help="coefficient field: 'q' or 'fp:P' (default fp:32003)",
+        help="field of cv: 'q' or 'fp:P' (default fp:32003)",
     )
     common.add_argument(
         "--seed",

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .decomposition import GenericDecomposition, cached_generic_ext, is_schur_root
 from .errors import (
     EmptyLabelError,
@@ -46,19 +45,10 @@ from .quiver import (
     check_dim_vector,
     euler_data,
     euler_form,
+    is_dynkin,
     proj_vector,
+    symmetrized_euler,
 )
-
-
-def symmetrized_euler(q: Quiver) -> list[list[int]]:
-    e = euler_data(q).e
-    return [[e[i][j] + e[j][i] for j in range(q.n)] for i in range(q.n)]
-
-
-@functools.lru_cache(maxsize=64)
-def is_dynkin(q: Quiver) -> bool:
-    """Positive definiteness of E + E^t, by exact leading principal minors."""
-    return all(m > 0 for m in linalg.leading_minors(symmetrized_euler(q)))
 
 
 def _require_dynkin(q: Quiver) -> None:
@@ -123,10 +113,8 @@ def _shifted_compatible(x: ComplexVertex, y: ComplexVertex) -> bool:
     return root.vector[shifted.vertex] == 0
 
 
-def compatible(
-    q: Quiver, x: ComplexVertex, y: ComplexVertex, field: Field, seed: int = 0
-) -> bool:
-    """Pairwise virtual semi-tilting condition, via `cached_generic_ext`.
+def compatible(q: Quiver, x: ComplexVertex, y: ComplexVertex, field: Field) -> bool:
+    """Pairwise virtual semi-tilting condition, via field-free `cached_generic_ext`.
 
     Two roots: vanishing generic ext both ways; a shifted vertex follows
     `_shifted_compatible`.  Holds on any acyclic quiver; `build_complex` uses
@@ -455,11 +443,18 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
                 queue.append(nxt)
     if len(seen) != len(c.facets):
         failures.append("facet adjacency graph is disconnected")
-    # faces as sorted tuples (facets are sorted, so combinations are)
-    face_counts = [
-        len({face for facet in c.facets for face in itertools.combinations(facet, k)})
-        for k in range(1, n + 1)
-    ]
+    # distinct faces, largest first: k-faces are k-subsets of (k + 1)-faces;
+    # facets are sorted, so equal faces are equal rows, which one lexsort per k
+    # makes adjacent (it radix sorts the narrowest unsigned type)
+    faces = np.array(c.facets, dtype=np.min_scalar_type(len(c.vertices))).reshape(-1, n)
+    face_counts = []
+    for k in range(n, 0, -1):
+        cols = list(itertools.combinations(range(faces.shape[1]), k))
+        faces = faces[:, cols].reshape(-1, k)
+        faces = faces[np.lexsort(faces.T[::-1])]
+        new = (faces[1:] != faces[:-1]).any(axis=1)
+        faces = np.concatenate([faces[:1], faces[1:][new]])
+        face_counts.insert(0, len(faces))
     chi = sum((-1) ** k * face_counts[k] for k in range(n))
     expected_chi = 1 + (-1) ** (n - 1)
     if chi != expected_chi:
@@ -688,7 +683,7 @@ def truncated_compatibility(
     adj: list[set[int]] = [set() for _ in range(nv)]
     for i in range(nv):
         for j in range(i + 1, nv):
-            if compatible(q, verts[i], verts[j], field, seed):
+            if compatible(q, verts[i], verts[j], field):
                 adj[i].add(j)
                 adj[j].add(i)
     cliques = _max_cliques(adj, nv)

@@ -1,9 +1,10 @@
 """Generic decomposition of virtual dimension vectors and D(beta) supports.
 
-On a Dynkin quiver the answers are closed-form and field-free, read off the
-facet cone of the tilting complex that holds the vector.  Elsewhere the
-generic decomposition is computed as defined: split off the canonical pair
-(mu, gamma), sample a random representation of mu, break it into
+Generic answers do not depend on the field, as Schofield's criteria hold in
+every characteristic.  On a Dynkin quiver they are closed-form, read off the
+facet cone of the tilting complex that holds the vector.  Elsewhere they are
+sampled over `fields.GF`, whatever field is passed: split off the canonical
+pair (mu, gamma), sample a random representation of mu, break it into
 indecomposables, and certify the result (Schur parts, vanishing generic ext
 both ways, support disjointness).
 D(beta) is cut out by one Euler-form equality and one inequality per generic
@@ -12,6 +13,7 @@ subrepresentation vector, decided by the ext-vanishing criterion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from .errors import (
     SplitFailureError,
     ZeroVectorError,
 )
-from .fields import Field, mix_seed
+from .fields import GF, Field, mix_seed
 from .presentations import (
     canonical_decomp,
     cv_value,
@@ -34,6 +36,7 @@ from .quiver import (
     check_dim_vector,
     euler_data,
     euler_form,
+    is_dynkin,
     tits_form,
 )
 from .reps import (
@@ -44,31 +47,24 @@ from .reps import (
     random_rep,
 )
 
-_ext_cache: dict[tuple, int] = {}
-
-
-def _dynkin_locate(q: Quiver):
-    """`cluster.walk_locate` if q is Dynkin, else None.  The facet cone
-    holding a vector gives its Schur parts and its gamma."""
-    from .cluster import is_dynkin, walk_locate  # cluster imports this module
-
-    return walk_locate if is_dynkin(q) else None
-
 
 def cached_generic_ext(
     q: Quiver, a: DimVector, b: DimVector, field: Field, trials: int = 3
 ) -> int:
-    """Generic ext(a, b).  Dynkin: sum max(0, -<x, y>) over the
-    `walk_locate` parts x of a and y of b, exact and field-free (Schofield).  Elsewhere:
-    generic_ext with a deterministic derived seed, memoized per (a, b)."""
-    if (locate := _dynkin_locate(q)) is not None:
-        xs, ys = (locate(q, check_nonneg(q, v)).schur_parts for v in (a, b))
+    """Generic ext(a, b), the same over every `field`: on a Dynkin quiver the sum
+    of max(0, -<x, y>) over the generic parts x of a and y of b (Schofield),
+    elsewhere generic_ext over GF, memoized."""
+    a, b = check_nonneg(q, a), check_nonneg(q, b)
+    if is_dynkin(q):
+        xs, ys = (generic_decomposition(q, v, field).schur_parts for v in (a, b))
         return sum(max(0, -euler_form(q, x, y)) for x in xs for y in ys)
-    key = (q, field.name, a, b, trials)
-    if key not in _ext_cache:
-        seed = mix_seed(0, "pairext", q.names, q.arrows, a, b)
-        _ext_cache[key] = generic_ext(q, a, b, field, seed, trials)
-    return _ext_cache[key]
+    return _sampled_ext(q, a, b, trials)
+
+
+@functools.lru_cache(maxsize=1 << 12)  # a support bench pass samples 212
+def _sampled_ext(q: Quiver, a: DimVector, b: DimVector, trials: int) -> int:
+    seed = mix_seed(0, "pairext", q.names, q.arrows, a, b)
+    return generic_ext(q, a, b, GF, seed, trials)
 
 
 @dataclass(frozen=True)
@@ -93,38 +89,35 @@ def generic_decomposition(
 ) -> GenericDecomposition:
     """Decompose alpha into Schur roots minus a shifted-projective part.
 
-    On a Dynkin quiver this is `walk_locate`, so `field` and `seed` do not
-    change it.  Elsewhere: samples a random representation of the canonical mu,
+    `field` does not change it.  On a Dynkin quiver this is `walk_locate`.
+    Elsewhere: samples a representation of the canonical mu over GF,
     decomposes it, and validates the part list; resamples on any failure.
     """
     a = check_dim_vector(q, a)
-    if (locate := _dynkin_locate(q)) is not None:
-        return locate(q, a)
+    if is_dynkin(q):
+        from .cluster import walk_locate  # cluster imports this module
+
+        return walk_locate(q, a)
     mu, gamma = canonical_decomp(q, a)
     gamma_support = {v for v in range(q.n) if gamma[v]}
-    last_failure = "no samples taken"
+    failure = "no samples taken"
     for retry in range(max_retries):
-        m = random_rep(q, mu, field, mix_seed(seed, "gd-sample", retry))
+        m = random_rep(q, mu, GF, mix_seed(seed, "gd-sample", retry))
         try:
             summands = fitting_decompose(m, mix_seed(seed, "gd-fit", retry))
         except SplitFailureError as exc:
-            last_failure = str(exc)
+            failure = str(exc)
             continue
-        parts, failure = _expand_summands(q, field, summands)
+        parts, failure = _expand_summands(q, summands)
+        failure = failure or _validate_parts(q, parts, gamma_support)
         if failure is None:
-            failure = _validate_parts(q, field, parts, gamma_support)
-        if failure is None:
-            return GenericDecomposition(
-                alpha=a, schur_parts=tuple(parts), gamma=gamma
-            )
-        last_failure = failure
+            return GenericDecomposition(alpha=a, schur_parts=tuple(parts), gamma=gamma)
     raise DecompositionUnstableError(
-        f"validation failed for alpha={a} after {max_retries} samples: "
-        f"{last_failure}"
+        f"validation failed for alpha={a} after {max_retries} samples: {failure}"
     )
 
 
-def _expand_summands(q, field, summands):
+def _expand_summands(q, summands):
     """Dimension-vector parts of (summand, End dimension) pairs, Galois
     orbits expanded.
 
@@ -143,19 +136,19 @@ def _expand_summands(q, field, summands):
         if any(x % d for x in s.dim):
             return None, f"summand {s.dim} has End of dim {d} not dividing it"
         reduced = tuple(x // d for x in s.dim)
-        if not is_schur_root(q, reduced, field):
+        if not is_schur_root(q, reduced, GF):
             return None, f"summand {s.dim} does not reduce to a Schur root"
         parts.extend([reduced] * d)
     return sorted(parts), None
 
 
-def _validate_parts(q, field, parts, gamma_support) -> str | None:
+def _validate_parts(q, parts, gamma_support) -> str | None:
     for part in parts:
         if any(part[v] and v in gamma_support for v in range(q.n)):
             return f"part {part} meets the shifted-projective support"
     for i, j in itertools.combinations(range(len(parts)), 2):
         for x, y in ((parts[i], parts[j]), (parts[j], parts[i])):
-            if cached_generic_ext(q, x, y, field) != 0:
+            if cached_generic_ext(q, x, y, GF) != 0:
                 return f"generic ext between parts {x} and {y} is nonzero"
     return None
 
@@ -163,22 +156,22 @@ def _validate_parts(q, field, parts, gamma_support) -> str | None:
 def is_schur_root(
     q: Quiver, a, field: Field, seed: int = 0, trials: int = 3
 ) -> bool:
-    """Dynkin: Tits form 1, whatever the field and seed.  Elsewhere: some
-    sampled representation of a has trivial endomorphisms."""
+    """Dynkin: Tits form 1, whatever the seed.  Elsewhere: some sampled
+    representation of a over GF (whatever `field` is) has End = k."""
     a = check_nonneg(q, a)
     if all(x == 0 for x in a):
         raise ZeroVectorError("the zero vector is not a root")
-    if _dynkin_locate(q) is not None:
+    if is_dynkin(q):
         return tits_form(q, a) == 1
     return any(
-        end_dim(random_rep(q, a, field, mix_seed(seed, "schur", t))) == 1
+        end_dim(random_rep(q, a, GF, mix_seed(seed, "schur", t))) == 1
         for t in range(trials)
     )
 
 
 def subrep_test(q: Quiver, b_sub, b, field: Field) -> bool:
     """Whether the general representation of b has a subrep of dimension b_sub
-    (ext-vanishing criterion: ext(b_sub, b - b_sub) = 0 generically)."""
+    (ext(b_sub, b - b_sub) = 0 generically; `field` does not change it)."""
     b_sub = check_nonneg(q, b_sub)
     b = check_nonneg(q, b)
     if any(s > t for s, t in zip(b_sub, b)):
@@ -206,7 +199,7 @@ class HalfSpaceSystem:
 
 def d_beta_halfspaces(q: Quiver, b, field: Field) -> HalfSpaceSystem:
     """Equality E.beta and one inequality E.beta' per subrep vector beta'
-    (field-free on a Dynkin quiver, as `cached_generic_ext` is)."""
+    (the same over every `field`, as `cached_generic_ext` is)."""
     b = check_nonneg(q, b)
     if all(x == 0 for x in b):
         raise ZeroVectorError("D(beta) needs a nonzero beta")
@@ -226,17 +219,15 @@ def d_beta_halfspaces(q: Quiver, b, field: Field) -> HalfSpaceSystem:
     )
 
 
-_halfspace_cache: dict[tuple, HalfSpaceSystem] = {}
-
-
 def d_membership(q: Quiver, a, b, field: Field) -> bool:
-    """Exact integer test of a against the halfspace system of D(b), which on
-    a Dynkin quiver does not depend on `field`."""
-    a = check_dim_vector(q, a)
-    key = (q, field.name, tuple(int(x) for x in b))
-    if key not in _halfspace_cache:
-        _halfspace_cache[key] = d_beta_halfspaces(q, b, field)
-    return _halfspace_cache[key].contains(a)
+    """Exact integer test of a against the halfspace system of D(b), which
+    does not depend on `field`."""
+    return _halfspaces(q, check_nonneg(q, b)).contains(check_dim_vector(q, a))
+
+
+@functools.lru_cache(maxsize=1 << 8)  # a support bench pass builds 39
+def _halfspaces(q: Quiver, b: DimVector) -> HalfSpaceSystem:
+    return d_beta_halfspaces(q, b, GF)
 
 
 def supp_test_randomized(

@@ -7,6 +7,7 @@ that order, and the Euler matrix is upper unitriangular with respect to it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,6 +18,7 @@ from .errors import (
     ParseError,
     UnknownVertexError,
 )
+from .linalg import leading_minors
 
 DimVector = tuple[int, ...]
 Path = tuple[int, ...]  # arrow indices, traversed left to right
@@ -239,6 +241,17 @@ def euler_form(q: Quiver, a: Sequence[int], b: Sequence[int]) -> int:
 
 def tits_form(q: Quiver, a: Sequence[int]) -> int:
     return euler_form(q, a, a)
+
+
+def symmetrized_euler(q: Quiver) -> list[list[int]]:
+    e = euler_data(q).e
+    return [[e[i][j] + e[j][i] for j in range(q.n)] for i in range(q.n)]
+
+
+@functools.lru_cache(maxsize=64)
+def is_dynkin(q: Quiver) -> bool:
+    """Positive definiteness of E + E^t, by exact leading principal minors."""
+    return all(m > 0 for m in leading_minors(symmetrized_euler(q)))
 
 
 def apply_int_matrix(m: Sequence[DimVector], a: Sequence[int]) -> DimVector:

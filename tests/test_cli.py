@@ -120,12 +120,36 @@ def test_d4_complex_builds_over_small_primes(capsys, tmp_path, field):
     assert json.loads(out)["facets"] == facets
 
 
-def test_small_prime_decompose_is_refused(capsys):
-    # the Fitting leaf test needs p above the total dimension (8 here); a
-    # refusal is an input error, not a verification failure
-    code, _, err = _run(capsys, "--field", "fp:2", "decompose", "--", "-1,2,3")
-    assert code == 1, err
-    assert "p = 2" in err and "total dimension 8" in err
+def test_small_prime_decompose_matches_the_default(capsys):
+    # generic answers sample over fp:32003 whatever --field says, so the
+    # Fitting leaf test's bound on p never refuses a CLI decomposition
+    argv = ("--format", "json", "decompose", "--", "-1,2,3")
+    code, out, err = _run(capsys, "--field", "fp:2", *argv)
+    assert code == 0, err
+    small = json.loads(out)
+    code, out, _ = _run(capsys, "--field", "fp:32003", *argv)
+    assert code == 0
+    assert small == json.loads(out)
+    assert sorted(small["parts"]) == [[0, 1, 2], [0, 2, 3]]
+
+
+def test_example_repeated_summand_decomposes_over_q(capsys):
+    code, out, err = _run(
+        capsys, "--field", "q", "--format", "json", "decompose", "--", "2,0,0"
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["parts"] == [[1, 0, 0], [1, 0, 0]]
+    assert data["gamma"] == [0, 0, 0]
+
+
+def test_small_prime_support_matches_the_default(capsys):
+    # over fp:2 the sampled D(beta) once said member:true here
+    code, out, err = _run(
+        capsys, "--field", "fp:2", "support", "--alpha", "2,1,2", "--beta", "1,2,2"
+    )
+    assert code == 0, err
+    assert out.splitlines() == ["member:false"]
 
 
 @pytest.mark.parametrize("field", ["fp:2", "fp:3"])
@@ -311,3 +335,33 @@ def test_gf_decomposition_does_not_import_sympy(tmp_path):
     lines = proc.stdout.splitlines()
     assert "library False" in lines
     assert "cli 0 False" in lines
+
+
+def test_q_answers_do_not_import_sympy(tmp_path):
+    # decompose and support sample over fp:32003 whatever --field says, so no
+    # CLI answer factors a polynomial over Q
+    script = (
+        "import sys\n"
+        "from vsi.cli import main\n"
+        "print(main(['--field', 'q', 'decompose', '--', '2,0,0']))\n"
+        "print(main(['--field', 'q', 'support', '--halfspaces',\n"
+        "            '--alpha=-1,-1,-2', '--beta', '0,1,2']))\n"
+        "print('sympy', 'sympy' in sys.modules)\n"
+    )
+    paths = [str(Path(vsi.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "member:true" in lines
+    assert lines.count("0") == 2
+    assert lines[-1] == "sympy False"

@@ -213,6 +213,27 @@ def test_e7_complex_counts_walls_and_sphere(gf):
     assert report.euler_characteristic == 2
 
 
+def test_face_counts_match_the_subset_definition(
+    a2, a3, a3_alt, a4, d4, d4_out, gf
+):
+    def by_definition(facets, n):
+        return tuple(
+            len({face for facet in facets for face in itertools.combinations(facet, k)})
+            for k in range(1, n + 1)
+        )
+
+    for q in (a2, a3, a3_alt, a4, d4, d4_out, A5, D5, E6, E7):
+        c = build_complex(q, gf)
+        assert verify_sphere(c, samples=0).face_counts == by_definition(
+            c.facets, q.n
+        ), q.arrows
+    # a facet listed twice is still one face of each size
+    data = json.loads(complex_to_json(build_complex(a3, gf), walls=False))
+    data["facets"].append(data["facets"][0])
+    c = complex_from_json(a3, json.dumps(data))
+    assert verify_sphere(c, samples=0).face_counts == by_definition(c.facets, 3)
+
+
 def test_e8_complex_builds_with_associahedron_facet_count(gf):
     c = build_complex(E8, gf)
     assert len(c.facets) == 25080

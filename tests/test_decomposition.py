@@ -252,3 +252,63 @@ def test_dynkin_answers_ignore_field_and_seed_and_never_sample(
                 for seed in (0, 7)
             }
             assert len(answers) == 1, (q.arrows, alpha, a, b)
+
+
+# the generalized Kronecker quiver with three arrows: wild, two vertices
+K3 = Quiver(["1", "2"], [("1", "2")] * 3)
+FIELDS = ("fp:2", "fp:3", "fp:32003", "q")
+
+
+def test_non_dynkin_answers_ignore_field_and_sample_over_gf(
+    ex_quiver, gf, monkeypatch
+):
+    # Schofield's criteria hold in every characteristic, so the generic
+    # answers cannot depend on the field; the samples are drawn over GF only
+    seen = set()
+
+    def record(name, field_of):
+        real = getattr(decomposition, name)
+
+        def wrapped(*args, **kwargs):
+            seen.add(field_of(args).name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, name, wrapped)
+
+    record("random_rep", lambda args: args[2])
+    record("generic_ext", lambda args: args[3])
+    record("fitting_decompose", lambda args: args[0].field)
+    decomposition._sampled_ext.cache_clear()
+    decomposition._halfspaces.cache_clear()
+    fields = [parse_field(f) for f in FIELDS]
+    for q in (ex_quiver, K3):
+        rng = derive_rng(47, "fieldfree", q.names, q.arrows)
+        for _ in range(5):
+            alpha = tuple(int(x) for x in rng.integers(-3, 4, size=q.n))
+            a = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+            b = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+            beta = tuple(int(x) for x in rng.integers(1, 3, size=q.n))
+            answers = {
+                (
+                    generic_decomposition(q, alpha, f, seed=seed),
+                    cached_generic_ext(q, a, b, f),
+                    d_beta_halfspaces(q, beta, f),
+                    d_membership(q, alpha, beta, f),
+                    is_schur_root(q, beta, f, seed=seed),
+                )
+                for f in fields
+                for seed in (0, 7)
+            }
+            assert len(answers) == 1, (q.arrows, alpha, a, b, beta)
+    assert seen == {gf.name}
+
+
+def test_example_grid_decomposes_alike_over_every_field(ex_quiver, gf):
+    fields = [parse_field(f) for f in FIELDS if f != gf.name]
+    for alpha in itertools.product(range(-2, 3), repeat=3):
+        if any(alpha):
+            want = generic_decomposition(ex_quiver, alpha, gf)
+            for f in fields:
+                assert generic_decomposition(ex_quiver, alpha, f) == want, (
+                    alpha, f.name
+                )
