@@ -424,7 +424,7 @@ def _common_options() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=argparse.SUPPRESS,
-        help="samples per randomized verdict (default 3)",
+        help="samples per randomized verdict, at least 1 (default 3)",
     )
     common.add_argument(
         "--format",
@@ -518,12 +518,13 @@ def main(argv=None) -> int:
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    if args.seed is None:
-        try:
-            args.seed = int(os.environ.get("VSI_SEED", "0"))
-        except ValueError:
-            args.seed = 0
     try:
+        if args.seed is None:
+            env = os.environ.get("VSI_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise ParseError(f"VSI_SEED={env!r} is not an integer") from None
         parse_field(args.field)
         return _DISPATCH[args.command](args)
     except _VERIFICATION_ERRORS as exc:

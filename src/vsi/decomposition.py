@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     DecompositionUnstableError,
     SplitFailureError,
+    VsiError,
     ZeroVectorError,
 )
 from .fields import GF, Field, mix_seed
@@ -241,6 +242,8 @@ def supp_test_randomized(
     """
     a = check_dim_vector(q, a)
     b = check_nonneg(q, b)
+    if trials < 1:
+        raise VsiError(f"trials must be >= 1, got {trials}")
     if all(x == 0 for x in b):
         raise ZeroVectorError("support test needs a nonzero beta")
     if all(x == 0 for x in a):

@@ -4,7 +4,9 @@ Two backends: a prime field GF(p) on numpy int64 arrays and the rationals on
 numpy object arrays of Fractions.  Everything downstream (representations,
 presentations, complexes) talks to a Field instance and never touches the
 backend directly, so determinants, kernels and characteristic polynomials stay
-exact in both cases.
+exact in both cases.  Most operations differ between the backends only in
+whether results are reduced mod p, so `Field` writes them once over the
+characteristic, as `vsi.linalg` does its kernels.
 """
 
 from __future__ import annotations
@@ -36,31 +38,70 @@ def derive_rng(seed: int, *salts) -> np.random.Generator:
 class Field:
     """Operations written once over the per-field primitives.
 
-    Subclasses supply scalars and the matrix kernels that really differ
-    between backends (`zeros`, `eye`, `mm`, `neg`, `rref`, `det`,
-    `charpoly`, ...); rank, kernel, column space, inverse and matrix power
-    are derived here from `rref` and `mm`.
+    `char` is p for GF(p), whose matrices hold entries in [0, p), and 0 for
+    Q.  The scalar and elementwise matrix operations are derived here from
+    `canon` and `_reduce`; rank, kernel, column space, inverse and matrix
+    power from `rref` and `mm`.  Subclasses supply only what differs: scalar
+    inverse and power, parsing, random draws, `zeros`/`eye`/`mm`, and the
+    dispatch of `rref`, `det`, `charpoly` and `poly_factors` to the named
+    kernels of `vsi.linalg`.
     """
 
     name: str
     char: int
 
+    def _reduce(self, a: np.ndarray) -> np.ndarray:
+        """`a` with canonical entries: reduced mod p, or as it is over Q."""
+        return a % self.char if self.char else a
+
+    # scalars
+    def s_add(self, a, b):
+        return self.canon(a + b)
+
+    def s_neg(self, a):
+        return self.canon(-a)
+
+    def s_mul(self, a, b):
+        return self.canon(a * b)
+
     def s_eq(self, a, b) -> bool:
-        return self.s_sub(a, b) == self.zero
+        return self.canon(a) == self.canon(b)
 
-    def s_sub(self, a, b):
-        return self.s_add(a, self.s_neg(b))
+    def elem_to_str(self, a) -> str:
+        return str(self.canon(a))
 
+    # matrices
     def is_zero(self, a: np.ndarray) -> bool:
-        return all(self.s_eq(x, self.zero) for x in a.flat)
+        return not np.count_nonzero(self._reduce(a))
+
+    def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
+        return np.array_equal(self._reduce(a), self._reduce(b))
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def sub(self, a, b):
+        return self._reduce(a - b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+    def smul(self, c, a):
+        return self._reduce(self.canon(c) * a)
+
+    def kron(self, a, b):
+        return self._reduce(np.kron(a, b))
+
+    def transpose(self, a):
+        return a.T.copy()
 
     def trace(self, a: np.ndarray):
         if a.shape[0] == 0:
             return self.zero
         return self.canon(np.trace(a))
 
-    def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return a.shape == b.shape and self.is_zero(self.sub(a, b))
+    def poly_mul(self, f, g):
+        return linalg.poly_mul(self.char, f, g)
 
     def mat_to_str(self, a: np.ndarray) -> list[list[str]]:
         return [[self.elem_to_str(x) for x in row] for row in a]
@@ -177,23 +218,11 @@ class PrimeField(Field):
     def canon(self, x) -> int:
         return int(x) % self.p
 
-    def s_add(self, a, b):
-        return (int(a) + int(b)) % self.p
-
-    def s_neg(self, a):
-        return -int(a) % self.p
-
-    def s_mul(self, a, b):
-        return int(a) * int(b) % self.p
-
     def s_inv(self, a):
         return pow(int(a), -1, self.p)
 
     def s_pow(self, a, e: int):
         return pow(int(a), e, self.p)
-
-    def elem_to_str(self, a) -> str:
-        return str(int(a) % self.p)
 
     def elem_from_str(self, s: str) -> int:
         try:
@@ -205,9 +234,6 @@ class PrimeField(Field):
         return int(rng.integers(0, self.p))
 
     # matrices
-    def eq(self, a, b) -> bool:
-        return a.shape == b.shape and np.array_equal(a % self.p, b % self.p)
-
     def zeros(self, m, n):
         return linalg.gf_zeros(m, n)
 
@@ -217,24 +243,6 @@ class PrimeField(Field):
     def mm(self, a, b):
         return linalg.gf_mm(self.p, a, b)
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def smul(self, c, a):
-        return int(c) % self.p * a % self.p
-
-    def kron(self, a, b):
-        return np.kron(a, b) % self.p
-
-    def transpose(self, a):
-        return a.T.copy()
-
     def rref(self, a):
         return linalg.gf_rref(self.p, a)
 
@@ -243,9 +251,6 @@ class PrimeField(Field):
 
     def charpoly(self, a):
         return linalg.gf_charpoly(self.p, a)
-
-    def poly_mul(self, f, g):
-        return linalg.gf_poly_mul(self.p, f, g)
 
     def poly_factors(self, f):
         return linalg.gf_poly_factors(self.p, f)
@@ -271,23 +276,11 @@ class Rationals(Field):
     def canon(self, x) -> Fraction:
         return Fraction(x)
 
-    def s_add(self, a, b):
-        return Fraction(a) + Fraction(b)
-
-    def s_neg(self, a):
-        return -Fraction(a)
-
-    def s_mul(self, a, b):
-        return Fraction(a) * Fraction(b)
-
     def s_inv(self, a):
         return Fraction(1) / Fraction(a)
 
     def s_pow(self, a, e: int):
         return Fraction(a) ** e
-
-    def elem_to_str(self, a) -> str:
-        return str(Fraction(a))
 
     def elem_from_str(self, s: str) -> Fraction:
         try:
@@ -308,26 +301,6 @@ class Rationals(Field):
     def mm(self, a, b):
         return linalg.qq_mm(a, b)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def smul(self, c, a):
-        return Fraction(c) * a
-
-    def kron(self, a, b):
-        if 0 in a.shape or 0 in b.shape:
-            return self.zeros(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        return np.kron(a, b)
-
-    def transpose(self, a):
-        return a.T.copy()
-
     def rref(self, a):
         return linalg.qq_rref(a)
 
@@ -337,19 +310,12 @@ class Rationals(Field):
     def charpoly(self, a):
         return linalg.qq_charpoly(a)
 
-    def poly_mul(self, f, g):
-        return linalg.qq_poly_mul(f, g)
-
     def poly_factors(self, f):
         return linalg.qq_poly_factors(f)
 
     def rand_mat(self, rng: np.random.Generator, m: int, n: int):
         raw = rng.integers(-_RAND_INT_BOUND, _RAND_INT_BOUND + 1, size=(m, n))
-        a = self.zeros(m, n)
-        for i in range(m):
-            for j in range(n):
-                a[i, j] = Fraction(int(raw[i, j]))
-        return a
+        return self.mat_of(m, n, raw.tolist())
 
 
 QQ = Rationals()

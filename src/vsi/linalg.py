@@ -1,10 +1,16 @@
-"""Per-field exact kernels: elimination, products, determinants, polynomials.
+"""Exact kernels: elimination, products, determinants, polynomials.
 
-Three coefficient domains, three backends: plain python ints (Euler matrices,
-Bareiss determinants), numpy int64 arrays reduced mod a prime (`gf_mm` sums
-long products in chunks so they stay in 64 bits), and numpy object arrays of
-Fractions for the rational field.  Operations derived from these kernels
-(rank, kernel, column space, inverse, matrix power) are written once on
+Plain python ints serve Euler matrices and Bareiss determinants.  A field is
+given by its characteristic `char`: char = p > 0 means numpy int64 arrays with
+entries reduced mod p (`gf_mm` sums long products in chunks so they stay in
+64 bits), and char = 0 means numpy object arrays of Fractions for the
+rational field.  Row reduction, the characteristic polynomial and polynomial
+product, difference and scaling are written once over `char`; `gf_rref`,
+`qq_rref`, `gf_charpoly` and `qq_charpoly` are their entry points.  The
+kernels branch on `char` inline: passing reduction and inverse callables
+instead made 200 GF(32003) eliminations of 20x28 and 60x64 matrices 17% and
+8% slower (2-vCPU Xeon host).  Operations derived from these kernels (rank,
+kernel, column space, inverse, matrix power) are written once on
 `vsi.fields.Field`.
 """
 
@@ -16,6 +22,7 @@ from math import lcm
 from typing import Sequence
 
 import numpy as np
+
 
 # ---------------------------------------------------------------- integers
 
@@ -59,6 +66,7 @@ def leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------- GF(p)
+# numpy int64 arrays with entries reduced mod p
 
 
 def gf_mat(p: int, rows) -> np.ndarray:
@@ -84,31 +92,6 @@ def gf_mm(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(0, k, step):
         out = (out + (a[:, s : s + step] @ b[s : s + step]) % p) % p
     return out
-
-
-def gf_rref(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    a = a.copy() % p
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        # the pivot row is zero left of c, so only columns c: change
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
 
 
 def gf_det(p: int, a: np.ndarray) -> int:
@@ -149,71 +132,146 @@ def gf_matpow(p: int, a: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-# ---------------------------------------------------------------- GF(p) polys
-# coefficient lists of python ints, low degree first, trimmed
+# ---------------------------------------------------------------- rationals
+# numpy object arrays holding Fractions
 
 
-def _gf_trim(f: list[int]) -> list[int]:
+def qq_mat(rows) -> np.ndarray:
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = np.empty((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            a[i, j] = Fraction(rows[i][j])
+    return a
+
+
+def qq_zeros(m: int, n: int) -> np.ndarray:
+    return np.full((m, n), Fraction(0), dtype=object)
+
+
+def qq_eye(n: int) -> np.ndarray:
+    a = qq_zeros(n, n)
+    for i in range(n):
+        a[i, i] = Fraction(1)
+    return a
+
+
+def qq_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[1] == 0:
+        return qq_zeros(a.shape[0], b.shape[1])
+    return a.dot(b)
+
+
+def qq_det(a: np.ndarray) -> Fraction:
+    """Determinant by Bareiss on the rows scaled to integers.
+
+    Unlike row reduction, the determinant keeps one algorithm per field.
+    Elimination on Fractions reduces every updated entry by a gcd at every
+    step; Bareiss keeps each intermediate an integer minor and divides
+    exactly.  On a 2-vCPU Xeon host, for matrices with entries in [-9, 9],
+    Fraction elimination took 0.008 s at n = 20 and 0.084 s at n = 40, and
+    Bareiss 0.002 s and 0.011 s.  GF(p) entries stay below p, so `gf_det`
+    eliminates mod p.
+    """
+    m, n = a.shape
+    if m != n:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return Fraction(1)
+    denom = 1
+    rows = []
+    for i in range(n):
+        scale = lcm(*(Fraction(a[i, j]).denominator for j in range(n)))
+        rows.append([int(Fraction(a[i, j]) * scale) for j in range(n)])
+        denom *= scale
+    return Fraction(int_bareiss_det(rows), denom)
+
+
+# ---------------------------------------------------------------- both fields
+# Written once over the characteristic char: p for GF(p), 0 for Q.
+# Polynomials are coefficient lists, low degree first, trimmed: python
+# ints reduced mod p, or Fractions.
+
+
+def _rref(char: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a copy of `a`, and its pivot columns."""
+    a = a.copy()  # C order whatever the layout of `a`, since rows are updated
+    if char:
+        a %= char
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        # the pivot row is zero left of c, so only columns c: change
+        if char:
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, char) % char
+        else:
+            a[r, c:] = a[r, c:] * (Fraction(1) / a[r, c])
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            upd = a[rows, c:] - np.outer(a[rows, c], a[r, c:])
+            if char:
+                upd %= char
+            a[rows, c:] = upd
+            del upd  # not alive while the next pivot's update is built
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def gf_rref(p: int, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    return _rref(p, a)
+
+
+def qq_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    return _rref(0, a)
+
+
+def _trim(f: list) -> list:
     while len(f) > 1 and f[-1] == 0:
         f.pop()
     return f
 
 
-def gf_poly_sub(p: int, f: list[int], g: list[int]) -> list[int]:
+def poly_sub(char: int, f: list, g: list) -> list:
     out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _gf_trim(out)
+        out[i] = (out[i] - c) % char if char else out[i] - c
+    return _trim(out)
 
 
-def gf_poly_scale(p: int, c: int, f: list[int]) -> list[int]:
-    return _gf_trim([c * x % p for x in f])
+def poly_scale(char: int, c, f: list) -> list:
+    return _trim([c * x % char for x in f] if char else [c * x for x in f])
 
 
-def gf_poly_mul(p: int, f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
+def poly_mul(char: int, f: list, g: list) -> list:
+    out = [0 if char else Fraction(0)] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    return _gf_trim([c % p for c in out])
+    return _trim([c % char for c in out] if char else out)
 
 
-def gf_poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    f = list(f)
-    g = _gf_trim(list(g))
-    if g == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(g[-1], -1, p)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return [0], _gf_trim(f)
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        # entries are reduced only when read, as leading coefficients or at the end
-        c = f[k + len(g) - 1] % p * inv % p
-        quo[k] = c
-        if c:
-            for i, gc in enumerate(g):
-                f[k + i] -= c * gc
-    return _gf_trim(quo), _gf_trim([c % p for c in f[: len(g) - 1]] or [0])
-
-
-def gf_poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
-    f, g = _gf_trim(list(f)), _gf_trim(list(g))
-    while g != [0]:
-        f, g = g, gf_poly_divmod(p, f, g)[1]
-    if f != [0]:
-        f = gf_poly_scale(p, pow(f[-1], -1, p), f)
-    return f
-
-
-def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
+def _charpoly(char: int, a: np.ndarray) -> list:
     """Characteristic polynomial via Hessenberg reduction, monic, low first."""
     n = a.shape[0]
+    one = 1 if char else Fraction(1)
     if n == 0:
-        return [1]
-    h = a.copy() % p
+        return [one]
+    h = a.copy()
+    if char:
+        h %= char
     for j in range(n - 2):
         nz = np.nonzero(h[j + 1 :, j])[0]
         if nz.size == 0:
@@ -222,23 +280,70 @@ def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
         if pr != j + 1:
             h[[j + 1, pr]] = h[[pr, j + 1]]
             h[:, [j + 1, pr]] = h[:, [pr, j + 1]]
-        inv = pow(int(h[j + 1, j]), -1, p)
+        piv = h[j + 1, j]
+        inv = pow(int(piv), -1, char) if char else Fraction(1) / piv
         for i in range(j + 2, n):
-            f = int(h[i, j]) * inv % p
+            f = int(h[i, j]) * inv % char if char else h[i, j] * inv
             if f:
-                h[i] = (h[i] - f * h[j + 1]) % p
-                h[:, j + 1] = (h[:, j + 1] + f * h[:, i]) % p
-    polys = [[1]]
+                # the column update reads row i, so row i is stored first
+                row = h[i] - f * h[j + 1]
+                h[i] = row % char if char else row
+                col = h[:, j + 1] + f * h[:, i]
+                h[:, j + 1] = col % char if char else col
+    h = h.tolist()  # python ints or Fractions
+    polys = [[one]]
     for k in range(1, n + 1):
-        term = gf_poly_mul(p, [(-int(h[k - 1, k - 1])) % p, 1], polys[k - 1])
-        prod_sub = 1
+        term = poly_mul(char, [-h[k - 1][k - 1], one], polys[k - 1])
+        prod_sub = one
         for i in range(k - 1, 0, -1):
-            prod_sub = prod_sub * int(h[i, i - 1]) % p
-            coef = int(h[i - 1, k - 1]) * prod_sub % p
+            prod_sub = prod_sub * h[i][i - 1]
+            coef = h[i - 1][k - 1] * prod_sub
+            if char:
+                prod_sub, coef = prod_sub % char, coef % char
             if coef:
-                term = gf_poly_sub(p, term, gf_poly_scale(p, coef, polys[i - 1]))
+                term = poly_sub(char, term, poly_scale(char, coef, polys[i - 1]))
         polys.append(term)
     return polys[n]
+
+
+def gf_charpoly(p: int, a: np.ndarray) -> list[int]:
+    return _charpoly(p, a)
+
+
+def qq_charpoly(a: np.ndarray) -> list[Fraction]:
+    return _charpoly(0, a)
+
+
+# ---------------------------------------------------------------- GF(p) polys
+
+
+def gf_poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    f = list(f)
+    g = _trim(list(g))
+    if g == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(g[-1], -1, p)
+    dq = len(f) - len(g)
+    if dq < 0:
+        return [0], _trim(f)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        # entries are reduced only when read, as leading coefficients or at the end
+        c = f[k + len(g) - 1] % p * inv % p
+        quo[k] = c
+        if c:
+            for i, gc in enumerate(g):
+                f[k + i] -= c * gc
+    return _trim(quo), _trim([c % p for c in f[: len(g) - 1]] or [0])
+
+
+def gf_poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
+    f, g = _trim(list(f)), _trim(list(g))
+    while g != [0]:
+        f, g = g, gf_poly_divmod(p, f, g)[1]
+    if f != [0]:
+        f = poly_scale(p, pow(f[-1], -1, p), f)
+    return f
 
 
 # ------------------------------------------------------ GF(p) factoring
@@ -253,7 +358,7 @@ def _gf_quo(p: int, f: list[int], g: list[int]) -> list[int]:
 def _gf_squarefree(p: int, f: list[int]) -> list[tuple[list[int], int]]:
     """Pairs (g, m) with f = prod g^m, each g monic, squarefree and coprime
     to the others, for a monic nonconstant f."""
-    df = _gf_trim([i * c % p for i, c in enumerate(f)][1:])
+    df = _trim([i * c % p for i, c in enumerate(f)][1:])
     if df == [0]:
         # every exponent is a multiple of p: f is the p-th power of f[::p]
         return [(g, m * p) for g, m in _gf_squarefree(p, f[::p])]
@@ -319,7 +424,7 @@ def _gf_distinct_degree(p: int, h: list[int]) -> list[tuple[list[int], int]]:
         xpow = gf_mm(p, frob, xpow)
         diff = [int(c) for c in xpow[:, 0]]
         diff[1] = (diff[1] - 1) % p
-        g = gf_poly_gcd(p, rest, _gf_trim(diff))
+        g = gf_poly_gcd(p, rest, _trim(diff))
         if len(g) > 1:
             out.append((g, d))
             rest = _gf_quo(p, rest, g)
@@ -340,7 +445,7 @@ def _gf_equal_degree(
     if p == 2:
         frob = _gf_frobenius(p, h)
     while True:
-        a = _gf_trim([rng.randrange(p) for _ in range(n)])
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if p == 2:
             # t = a + a^2 + ... + a^(2^(d-1)) by Horner in the Frobenius matrix
             col = gf_zeros(n, 1)
@@ -348,13 +453,13 @@ def _gf_equal_degree(
             t = col
             for _ in range(d - 1):
                 t = (col + gf_mm(p, frob, t)) % p
-            t = _gf_trim([int(c) for c in t[:, 0]])
+            t = _trim([int(c) for c in t[:, 0]])
         else:
             # a^e mod h is the first column of the e-th power of the
             # multiplication-by-a matrix
             mult = _gf_krylov(p, _gf_companion(p, h), a)
             power = gf_matpow(p, mult, (p**d - 1) // 2)
-            t = gf_poly_sub(p, _gf_trim([int(c) for c in power[:, 0]]), [1])
+            t = poly_sub(p, _trim([int(c) for c in power[:, 0]]), [1])
         g = gf_poly_gcd(p, h, t)
         if 1 < len(g) < len(h):
             break
@@ -367,10 +472,10 @@ def gf_poly_factors(p: int, f: list[int]) -> list[tuple[list[int], int]]:
     """Distinct monic irreducible factors of f over GF(p) with multiplicities,
     each as an ascending coefficient list, sorted.  The equal-degree step
     draws from a generator seeded by f, so the work done is a function of f."""
-    f = _gf_trim([int(c) % p for c in f])
+    f = _trim([int(c) % p for c in f])
     if len(f) == 1:
         return []
-    f = gf_poly_scale(p, pow(f[-1], -1, p), f)
+    f = poly_scale(p, pow(f[-1], -1, p), f)
     rng = random.Random(repr((p, f)))
     out = []
     for g, mult in _gf_squarefree(p, f):
@@ -379,115 +484,7 @@ def gf_poly_factors(p: int, f: list[int]) -> list[tuple[list[int], int]]:
     return sorted(out)
 
 
-# ---------------------------------------------------------------- rationals
-# numpy object arrays holding Fractions
-
-
-def qq_mat(rows) -> np.ndarray:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for j in range(n):
-            a[i, j] = Fraction(rows[i][j])
-    return a
-
-
-def qq_zeros(m: int, n: int) -> np.ndarray:
-    return np.full((m, n), Fraction(0), dtype=object)
-
-
-def qq_eye(n: int) -> np.ndarray:
-    a = qq_zeros(n, n)
-    for i in range(n):
-        a[i, i] = Fraction(1)
-    return a
-
-
-def qq_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] == 0:
-        return qq_zeros(a.shape[0], b.shape[1])
-    return a.dot(b)
-
-
-def qq_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    a = a.copy()
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * (Fraction(1) / Fraction(a[r, c]))
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - Fraction(a[i, c]) * a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def qq_det(a: np.ndarray) -> Fraction:
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    denom = 1
-    rows = []
-    for i in range(n):
-        scale = lcm(*(Fraction(a[i, j]).denominator for j in range(n)))
-        rows.append([int(Fraction(a[i, j]) * scale) for j in range(n)])
-        denom *= scale
-    return Fraction(int_bareiss_det(rows), denom)
-
-
-def qq_poly_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-    return out
-
-
-def qq_charpoly(a: np.ndarray) -> list[Fraction]:
-    """Hessenberg characteristic polynomial over the rationals."""
-    n = a.shape[0]
-    if n == 0:
-        return [Fraction(1)]
-    h = a.copy()
-    for j in range(n - 2):
-        pr = next((i for i in range(j + 1, n) if h[i, j] != 0), None)
-        if pr is None:
-            continue
-        if pr != j + 1:
-            h[[j + 1, pr]] = h[[pr, j + 1]]
-            h[:, [j + 1, pr]] = h[:, [pr, j + 1]]
-        for i in range(j + 2, n):
-            if h[i, j] != 0:
-                f = Fraction(h[i, j]) / Fraction(h[j + 1, j])
-                h[i] = h[i] - f * h[j + 1]
-                h[:, j + 1] = h[:, j + 1] + f * h[:, i]
-    one = Fraction(1)
-    polys: list[list[Fraction]] = [[one]]
-    for k in range(1, n + 1):
-        term = qq_poly_mul([-Fraction(h[k - 1, k - 1]), one], polys[k - 1])
-        prod_sub = one
-        for i in range(k - 1, 0, -1):
-            prod_sub = prod_sub * Fraction(h[i, i - 1])
-            coef = Fraction(h[i - 1, k - 1]) * prod_sub
-            if coef:
-                contrib = [coef * c for c in polys[i - 1]]
-                for idx, c in enumerate(contrib):
-                    term[idx] -= c
-        polys.append(term)
-    return polys[n]
+# ---------------------------------------------------------------- Q factoring
 
 
 def qq_poly_factors(

@@ -20,6 +20,7 @@ from .errors import (
     NegativeDimensionError,
     QuiverMismatchError,
     SplitFailureError,
+    VsiError,
 )
 from .fields import Field, derive_rng, mix_seed
 from .quiver import DimVector, Quiver, check_dim_vector, euler_form
@@ -206,7 +207,7 @@ def generic_hom(
     a = check_nonneg(q, a)
     b = check_nonneg(q, b)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise VsiError(f"trials must be >= 1, got {trials}")
     best = None
     for t in range(trials):
         m = random_rep(q, a, field, mix_seed(seed, "gh-left", t))

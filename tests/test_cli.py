@@ -365,3 +365,43 @@ def test_q_answers_do_not_import_sympy(tmp_path):
     assert "member:true" in lines
     assert lines.count("0") == 2
     assert lines[-1] == "sympy False"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cv_refuses_fewer_than_one_trial(capsys, trials):
+    code, out, err = _run(
+        capsys, "--trials", trials, "cv", "--alpha=-1,-1,-2", "--beta", "0,1,2"
+    )
+    assert code == 1 and out == ""
+    assert "trials" in err
+
+
+def test_non_integer_seed_env_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("VSI_SEED", "1.5")
+    code, out, err = _run(capsys, "--format", "json", "decompose", "--", "1,1,1")
+    assert code == 1 and out == ""
+    assert "VSI_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "quiver, seed, alpha, beta, value",
+    [
+        (None, 5, "-3,-1,-3", "0,1,2", "57014998961664"),
+        (None, 11, "-3,0,-2", "0,2,3",
+         "12584094476247748366949105285122296376415764800"),
+        ("1 -> 4\n2 -> 4\n3 -> 4\n", 0, "0,2,2,2", "1,1,1,2",
+         "-2887031989648589617291124736"),
+    ],
+)
+def test_cv_over_q_golden_values(capsys, tmp_path, quiver, seed, alpha, beta, value):
+    # exact C_V sample values over Q: the draws are seeded, so the value is
+    # a function of (quiver, alpha, beta, seed)
+    argv = ["--field", "q", "--format", "json", "--seed", str(seed)]
+    if quiver is not None:
+        path = tmp_path / "q.quiver"
+        path.write_text(quiver, encoding="utf-8")
+        argv += ["--quiver", str(path)]
+    code, out, err = _run(capsys, *argv, "cv", f"--alpha={alpha}", "--beta", beta)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["value"] == value and data["nonvanishing"] is True

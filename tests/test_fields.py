@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vsi import (
@@ -92,3 +93,58 @@ def test_field_equality_and_names():
     assert GF.name == "fp:32003"
     assert QQ.name == "q"
     assert GF != QQ
+
+
+def _entry(field, x):
+    # a field element computed without the Field API
+    return int(x) % field.char if field.char else Fraction(x)
+
+
+def _entries(field, a):
+    return [[_entry(field, x) for x in row] for row in a.tolist()]
+
+
+@pytest.mark.parametrize("field", [prime_field(7), GF, QQ], ids=lambda f: f.name)
+def test_elementwise_ops_match_entrywise_references(field):
+    rng = derive_rng(5, "elementwise", field.name)
+    shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2)]
+    for (m, n), (k, l) in zip(shapes, shapes[::-1] + shapes):
+        a, b = field.rand_mat(rng, m, n), field.rand_mat(rng, m, n)
+        c = field.rand_mat(rng, k, l)
+        total = field.add(a, b)
+        assert total.shape == (m, n)
+        assert _entries(field, total) == [
+            [_entry(field, x + y) for x, y in zip(r, s)]
+            for r, s in zip(a.tolist(), b.tolist())
+        ]
+        scalars = (0, 3, -1, field.char + 2) + (() if field.char else (Fraction(2, 3),))
+        for scalar in scalars:
+            assert _entries(field, field.smul(scalar, a)) == [
+                [_entry(field, _entry(field, scalar) * x) for x in r]
+                for r in a.tolist()
+            ]
+        prod = field.kron(a, c)
+        assert prod.shape == (m * k, n * l)
+        assert _entries(field, prod) == [
+            [_entry(field, a[i // k, j // l] * c[i % k, j % l])
+             for j in range(n * l)]
+            for i in range(m * k)
+        ]
+        if not field.char:
+            assert all(type(x) is Fraction for x in prod.flat)
+        assert field.eq(a, a.copy()) and field.eq(total, field.add(b, a))
+        if m != n:
+            assert not field.eq(a, field.zeros(n, m))
+        assert field.is_zero(field.zeros(m, n))
+        assert field.is_zero(field.sub(a, a))
+        if m and n:
+            bumped = a.copy()
+            bumped[0, 0] = field.canon(bumped[0, 0] + 1)
+            assert not field.eq(a, bumped)
+            assert not field.is_zero(field.sub(bumped, a))
+    if field.char:
+        # entries are compared as field elements, not as stored integers
+        p = field.char
+        assert field.is_zero(np.array([[p, 2 * p]], dtype=np.int64))
+        assert field.eq(np.array([[1, p - 1]], dtype=np.int64),
+                        np.array([[p + 1, -1]], dtype=np.int64))

@@ -17,14 +17,15 @@ from vsi.linalg import (
     gf_poly_divmod,
     gf_poly_factors,
     gf_poly_gcd,
-    gf_poly_mul,
     gf_rref,
     int_bareiss_det,
     int_rank,
     leading_minors,
+    poly_mul,
     qq_charpoly,
     qq_mat,
     qq_poly_factors,
+    qq_rref,
 )
 
 P = 32003
@@ -122,6 +123,50 @@ def test_gf_rref_matches_whole_row_elimination(p):
         assert r.tolist() == ref.tolist()
 
 
+def _qq_rref_full_rows(a):
+    # the textbook elimination over Q that updates whole rows at every pivot
+    a = a.copy()
+    pivots, r = [], 0
+    for c in range(a.shape[1]):
+        nz = [i for i in range(r, a.shape[0]) if a[i, c] != 0]
+        if not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r] = a[r] * (Fraction(1) / a[r, c])
+        for i in range(a.shape[0]):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+        if r == a.shape[0]:
+            break
+    return a, pivots
+
+
+def test_qq_rref_matches_whole_row_elimination():
+    rng = random.Random(13)
+    shapes = [(0, 0), (0, 4), (3, 0)]
+    shapes += [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(40)]
+    for m, n in shapes:
+        rows = [
+            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        for j in range(n):
+            if rng.random() < 0.3:
+                for row in rows:
+                    row[j] = Fraction(0)
+        if m > 2:
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+        a = qq_mat(rows) if m else QQ.zeros(0, n)
+        r, pivots = qq_rref(a)
+        ref, ref_pivots = _qq_rref_full_rows(a)
+        assert r.shape == (m, n)
+        assert pivots == ref_pivots
+        assert r.tolist() == ref.tolist()
+        assert all(type(x) is Fraction for x in r.flat)
+
+
 def test_gf_mm_exact_for_primes_near_two_to_the_31():
     big = 2**31 - 1  # prime; (p-1)^2 is just under 2^62
     a = gf_mat(big, [[big - 1] * 4])
@@ -216,7 +261,7 @@ def test_gf_poly_arithmetic_round_trips():
         if not any(g):
             g[0] = 1
         quo, rem = gf_poly_divmod(P, f, g)
-        back = gf_poly_mul(P, quo, g)
+        back = poly_mul(P, quo, g)
         total = [0] * max(len(back), len(rem), 1)
         for i, c in enumerate(back):
             total[i] = (total[i] + c) % P
@@ -236,8 +281,8 @@ def test_gf_poly_gcd_extracts_shared_factor():
     # (x - 3)(x - 17)(x - 12345) expanded mod P
     f = [1]
     for r in (3, 17, 12345):
-        f = gf_poly_mul(P, f, [(-r) % P, 1])
-    g = gf_poly_mul(P, [(-3) % P, 1], [5, 1])
+        f = poly_mul(P, f, [(-r) % P, 1])
+    g = poly_mul(P, [(-3) % P, 1], [5, 1])
     h = gf_poly_gcd(P, f, g)
     assert h == [(-3) % P, 1]
 
@@ -261,6 +306,38 @@ def test_qq_charpoly_on_companion_style_matrix():
     assert qq_charpoly(a) == [Fraction(6), Fraction(-5), Fraction(1)]
 
 
+@pytest.mark.parametrize("p", [2, 3, P, 2**31 - 1])
+def test_qq_charpoly_reduces_to_gf_charpoly(p):
+    # an integer matrix has an integer characteristic polynomial, and
+    # reducing its coefficients mod p commutes with taking it
+    rng = np.random.default_rng(p % 997)
+    for _ in range(30):
+        n = int(rng.integers(0, 7))
+        a = rng.integers(-9, 10, size=(n, n))
+        a[:, rng.random(n) < 0.2] = 0
+        coeffs = qq_charpoly(qq_mat(a.tolist()) if n else QQ.zeros(0, 0))
+        assert all(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+        assert [int(c) % p for c in coeffs] == gf_charpoly(p, a % p)
+
+
+def test_qq_charpoly_satisfies_cayley_hamilton():
+    rng = random.Random(14)
+    for _ in range(15):
+        n = rng.randrange(1, 6)
+        a = qq_mat(
+            [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        coeffs = qq_charpoly(a)
+        assert len(coeffs) == n + 1 and coeffs[-1] == 1
+        acc, power = QQ.zeros(n, n), QQ.eye(n)
+        for c in coeffs:
+            acc = acc + c * power
+            power = QQ.mm(power, a)
+        assert all(x == 0 for x in acc.flat)
+        assert coeffs[0] == (-1) ** n * QQ.det(a)
+
+
 def test_gf_poly_factors_round_trip_and_goldens():
     # (x^2 + 1)(x - 3): the quadratic is irreducible since P % 4 == 3
     f = [(-3) % P, 1, (-3) % P, 1]
@@ -273,7 +350,7 @@ def test_gf_poly_factors_round_trip_and_goldens():
     prod = [1]
     for fac, mult in facs:
         for _ in range(mult):
-            prod = gf_poly_mul(P, prod, fac)
+            prod = poly_mul(P, prod, fac)
     assert prod == f
     assert gf_poly_factors(P, [7]) == []
 
@@ -306,7 +383,7 @@ def test_gf_poly_factors_match_sympy(p):
             if len(f) - 1 + mult * (len(g) - 1) > 40:
                 break
             for _ in range(mult):
-                f = gf_poly_mul(p, f, g)
+                f = poly_mul(p, f, g)
         cases.append(f)
     if p < 10:
         # p-th powers, where the derivative vanishes: g(x)^p = g(x^p), times
@@ -317,7 +394,7 @@ def test_gf_poly_factors_match_sympy(p):
         cases.append(gp)
         h = [1, 1]
         for _ in range(p + 1):
-            gp = gf_poly_mul(p, gp, h)
+            gp = poly_mul(p, gp, h)
         cases.append(gp)
     cases.append([0, 0, 0, 1])  # x^3
     for f in cases:

@@ -210,20 +210,25 @@ def test_cv_weight_values(a2, gf):
     assert cv_weight(direct_sum(s2, v)).sigma == (2, 2)
 
 
-def test_semi_invariance_under_automorphism_action(ex_quiver, gf):
+def test_semi_invariance_under_automorphism_action(ex_quiver, gf, qq):
     q = ex_quiver
     alpha, beta = (-1, -1, -2), (0, 1, 2)
     assert euler_form(q, alpha, beta) == 0
     dec = minimal_decomp(q, alpha)
-    for i in range(10):
-        seed = mix_seed(19, "equiv", i)
-        phi = random_presentation(dec, gf, mix_seed(seed, "phi"))
-        v = random_rep(q, beta, gf, mix_seed(seed, "V"))
-        g0 = random_aut(q, dec.gamma0, gf, mix_seed(seed, "g0"), slots=phi.slots0)
-        g1 = random_aut(q, dec.gamma1, gf, mix_seed(seed, "g1"), slots=phi.slots1)
-        lhs = cv_value(apply_action(g0, phi, g1), v)
-        scale = gf.s_mul(chi_value(g0, beta), chi_value(g1, beta))
-        assert lhs == gf.s_mul(scale, cv_value(phi, v))
+    for field in (gf, qq):
+        for i in range(10):
+            seed = mix_seed(19, "equiv", i)
+            phi = random_presentation(dec, field, mix_seed(seed, "phi"))
+            v = random_rep(q, beta, field, mix_seed(seed, "V"))
+            g0 = random_aut(
+                q, dec.gamma0, field, mix_seed(seed, "g0"), slots=phi.slots0
+            )
+            g1 = random_aut(
+                q, dec.gamma1, field, mix_seed(seed, "g1"), slots=phi.slots1
+            )
+            lhs = cv_value(apply_action(g0, phi, g1), v)
+            scale = field.s_mul(chi_value(g0, beta), chi_value(g1, beta))
+            assert lhs == field.s_mul(scale, cv_value(phi, v))
 
 
 def test_chi_value_is_multiplicative(ex_quiver, gf):
@@ -248,7 +253,7 @@ def _interleave_sign(phi, d1, d2):
     return -1 if total % 2 else 1
 
 
-def test_direct_sum_factorization_up_to_interleave_sign(ex_quiver, gf):
+def test_direct_sum_factorization_up_to_interleave_sign(ex_quiver, gf, qq):
     q = ex_quiver
     cases = [
         ((-1, -1, -2), (0, 1, 2), (0, 1, 2)),
@@ -256,36 +261,38 @@ def test_direct_sum_factorization_up_to_interleave_sign(ex_quiver, gf):
         ((-3, 0, -2), (0, 2, 3), (0, 2, 3)),
         ((-2, 0, -1), (0, 1, 2), (0, 1, 2)),
     ]
-    for alpha, b1, b2 in cases:
-        assert euler_form(q, alpha, b1) == 0 and euler_form(q, alpha, b2) == 0
-        for i in range(5):
-            seed = mix_seed(22, "factor", alpha, b1, b2, i)
-            phi = random_presentation(minimal_decomp(q, alpha), gf, seed)
-            v1 = random_rep(q, b1, gf, mix_seed(seed, "v1"))
-            v2 = random_rep(q, b2, gf, mix_seed(seed, "v2"))
-            lhs = cv_value(phi, direct_sum(v1, v2))
-            rhs = gf.s_mul(cv_value(phi, v1), cv_value(phi, v2))
-            if _interleave_sign(phi, v1.dim, v2.dim) < 0:
-                rhs = gf.s_neg(rhs)
-            assert lhs == rhs
+    for field in (gf, qq):
+        for alpha, b1, b2 in cases:
+            assert euler_form(q, alpha, b1) == 0 and euler_form(q, alpha, b2) == 0
+            for i in range(5):
+                seed = mix_seed(22, "factor", alpha, b1, b2, i)
+                phi = random_presentation(minimal_decomp(q, alpha), field, seed)
+                v1 = random_rep(q, b1, field, mix_seed(seed, "v1"))
+                v2 = random_rep(q, b2, field, mix_seed(seed, "v2"))
+                lhs = cv_value(phi, direct_sum(v1, v2))
+                rhs = field.s_mul(cv_value(phi, v1), cv_value(phi, v2))
+                if _interleave_sign(phi, v1.dim, v2.dim) < 0:
+                    rhs = field.s_neg(rhs)
+                assert lhs == rhs
 
 
-def test_stabilize_identity_and_cv_invariance(ex_quiver, gf):
+def test_stabilize_identity_and_cv_invariance(ex_quiver, gf, qq):
     q = ex_quiver
     alpha, beta = (-1, -1, -2), (0, 1, 2)
     dec = minimal_decomp(q, alpha)
-    rng = derive_rng(23, "stab")
-    for i in range(10):
-        phi = random_presentation(dec, gf, mix_seed(23, "phi", i))
-        same = stabilize(phi, (0, 0, 0))
-        assert _blocks_equal(gf, same.blocks, phi.blocks)
-        assert same.slots0 == phi.slots0
-        gamma = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
-        big = stabilize(phi, gamma)
-        assert big.gamma0 == tuple(a + g for a, g in zip(dec.gamma0, gamma))
-        assert cokernel(big).dim == cokernel(phi).dim
-        v = random_rep(q, beta, gf, mix_seed(23, "V", i))
-        assert cv_value(big, v) == cv_value(phi, v)
+    for field in (gf, qq):
+        rng = derive_rng(23, "stab")
+        for i in range(10):
+            phi = random_presentation(dec, field, mix_seed(23, "phi", i))
+            same = stabilize(phi, (0, 0, 0))
+            assert _blocks_equal(field, same.blocks, phi.blocks)
+            assert same.slots0 == phi.slots0
+            gamma = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+            big = stabilize(phi, gamma)
+            assert big.gamma0 == tuple(a + g for a, g in zip(dec.gamma0, gamma))
+            assert cokernel(big).dim == cokernel(phi).dim
+            v = random_rep(q, beta, field, mix_seed(23, "V", i))
+            assert cv_value(big, v) == cv_value(phi, v)
 
 
 def test_padded_presentation_spaces_have_stable_cokernel(ex_quiver, a3, gf):

@@ -11,6 +11,7 @@ from vsi import (
     QuiverMismatchError,
     Representation,
     SplitFailureError,
+    VsiError,
     conjugate_rep,
     derive_rng,
     direct_sum,
@@ -71,6 +72,12 @@ def test_ext_equals_hom_minus_euler_form(ex_quiver, gf):
         m = random_rep(ex_quiver, a, gf, seed=int(rng.integers(1 << 30)))
         n = random_rep(ex_quiver, b, gf, seed=int(rng.integers(1 << 30)))
         assert ext_dim(m, n) == hom_dim(m, n) - euler_form(ex_quiver, a, b)
+
+
+def test_generic_hom_refuses_fewer_than_one_trial(ex_quiver, gf):
+    for trials in (0, -3):
+        with pytest.raises(VsiError, match="trials"):
+            generic_hom(ex_quiver, (1, 1, 1), (1, 0, 0), gf, trials=trials)
 
 
 def test_hom_of_zero_rep_is_zero(ex_quiver, gf):
