@@ -25,6 +25,7 @@ from .cluster import (
 )
 from .decomposition import (
     d_beta_halfspaces,
+    d_membership,
     generic_decomposition,
     supp_test_randomized,
 )
@@ -206,22 +207,18 @@ def _cmd_support(args) -> int:
     alpha = _parse_vec(args.alpha, q.n)
     beta = _parse_vec(args.beta, q.n)
     field = parse_field(args.field)
-    system = d_beta_halfspaces(q, beta, field)
-    member = system.contains(alpha)
+    member = d_membership(q, alpha, beta, field)
     lines = [f"member:{str(member).lower()}"]
-    if args.halfspaces:
-        lines.append(f"equality:   {_fmt_vec(system.equality)} . alpha = 0")
-        for row in system.inequalities:
-            lines.append(f"inequality: {_fmt_vec(row)} . alpha <= 0")
-    _emit(
-        args,
-        {
-            "member": member,
-            "equality": list(system.equality),
-            "inequalities": [list(r) for r in system.inequalities],
-        },
-        lines,
-    )
+    payload = {"member": member}
+    if args.halfspaces or args.format == "json":
+        system = d_beta_halfspaces(q, beta, field)
+        payload["equality"] = list(system.equality)
+        payload["inequalities"] = [list(r) for r in system.inequalities]
+        if args.halfspaces:
+            lines.append(f"equality:   {_fmt_vec(system.equality)} . alpha = 0")
+            for row in system.inequalities:
+                lines.append(f"inequality: {_fmt_vec(row)} . alpha <= 0")
+    _emit(args, payload, lines)
     return 0
 
 

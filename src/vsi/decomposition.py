@@ -8,7 +8,10 @@ pair (mu, gamma), sample a random representation of mu, break it into
 indecomposables, and certify the result (Schur parts, vanishing generic ext
 both ways, support disjointness).
 D(beta) is cut out by one Euler-form equality and one inequality per generic
-subrepresentation vector, decided by the ext-vanishing criterion.
+subrepresentation vector, decided by the ext-vanishing criterion.  Membership
+in D(beta) on a Dynkin quiver needs no such system: it is read off the parts
+of the vector's generic decomposition (see `d_membership`); elsewhere it is
+tested against the halfspaces.
 """
 
 from __future__ import annotations
@@ -221,12 +224,28 @@ def d_beta_halfspaces(q: Quiver, b, field: Field) -> HalfSpaceSystem:
 
 
 def d_membership(q: Quiver, a, b, field: Field) -> bool:
-    """Exact integer test of a against the halfspace system of D(b), which
-    does not depend on `field`."""
-    return _halfspaces(q, check_nonneg(q, b)).contains(check_dim_vector(q, a))
+    """Whether a lies in D(b); exact, and the same over every `field`.
+
+    On a Dynkin quiver, by parts: C_V on a general presentation of a is
+    block-diagonal over the generic parts of a (the Canonical Decomposition
+    Theorem), so a is in D(b) iff every shifted part v has b_v = 0 and every
+    Schur part p has <p, b> = 0 = ext(p, b).  Elsewhere, an integer test
+    against the halfspace system of D(b).
+    """
+    b = check_nonneg(q, b)
+    if all(x == 0 for x in b):
+        raise ZeroVectorError("D(beta) needs a nonzero beta")
+    a = check_dim_vector(q, a)
+    if not is_dynkin(q):
+        return _halfspaces(q, b).contains(a)
+    dec = generic_decomposition(q, a, field)
+    return all(b[v] == 0 for v in range(q.n) if dec.gamma[v]) and all(
+        euler_form(q, p, b) == 0 and cached_generic_ext(q, p, b, field) == 0
+        for p in dec.schur_parts
+    )
 
 
-@functools.lru_cache(maxsize=1 << 8)  # a support bench pass builds 39
+@functools.lru_cache(maxsize=1 << 8)  # off Dynkin; a support bench pass builds 12
 def _halfspaces(q: Quiver, b: DimVector) -> HalfSpaceSystem:
     return d_beta_halfspaces(q, b, GF)
 

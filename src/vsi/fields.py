@@ -12,6 +12,7 @@ characteristic, as `vsi.linalg` does its kernels.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ class Field:
     Q.  The scalar and elementwise matrix operations are derived here from
     `canon` and `_reduce`; rank, kernel, column space, inverse and matrix
     power from `rref` and `mm`.  Subclasses supply only what differs: scalar
-    inverse and power, parsing, random draws, `zeros`/`eye`/`mm`, and the
+    inverse and power, parsing, flat random draws, `zeros`/`eye`/`mm`, and the
     dispatch of `rref`, `det`, `charpoly` and `poly_factors` to the named
     kernels of `vsi.linalg`.
     """
@@ -90,7 +91,11 @@ class Field:
         return self._reduce(self.canon(c) * a)
 
     def kron(self, a, b):
-        return self._reduce(np.kron(a, b))
+        """np.kron of two matrices, as one broadcast product."""
+        (m, n), (k, l) = a.shape, b.shape
+        return self._reduce(
+            np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(m * k, n * l)
+        )
 
     def transpose(self, a):
         return a.T.copy()
@@ -154,9 +159,23 @@ class Field:
             e >>= 1
         return result
 
+    def rand_mats(self, rng: np.random.Generator, shapes) -> list[np.ndarray]:
+        """Uniform random matrices of the given (m, n) shapes from one draw.
+
+        PCG64 keeps its spare 32-bit half-word in the generator state, so the
+        values equal those of one draw per shape, in order.
+        """
+        sizes = [m * n for m, n in shapes]
+        flat = self._draw(rng, sum(sizes))
+        ends = itertools.accumulate(sizes)
+        return [
+            flat[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)
+        ]
+
     def rand_invertible(self, rng: np.random.Generator, n: int) -> np.ndarray:
         while True:
-            a = self.rand_mat(rng, n, n)
+            (a,) = self.rand_mats(rng, [(n, n)])
             if self.det(a) != 0:
                 return a
 
@@ -255,8 +274,8 @@ class PrimeField(Field):
     def poly_factors(self, f):
         return linalg.gf_poly_factors(self.p, f)
 
-    def rand_mat(self, rng: np.random.Generator, m: int, n: int):
-        return rng.integers(0, self.p, size=(m, n), dtype=np.int64)
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(0, self.p, size=size, dtype=np.int64)
 
 
 class Rationals(Field):
@@ -313,9 +332,9 @@ class Rationals(Field):
     def poly_factors(self, f):
         return linalg.qq_poly_factors(f)
 
-    def rand_mat(self, rng: np.random.Generator, m: int, n: int):
-        raw = rng.integers(-_RAND_INT_BOUND, _RAND_INT_BOUND + 1, size=(m, n))
-        return self.mat_of(m, n, raw.tolist())
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        raw = rng.integers(-_RAND_INT_BOUND, _RAND_INT_BOUND + 1, size=size)
+        return np.array([Fraction(x) for x in raw.tolist()], dtype=object)
 
 
 QQ = Rationals()

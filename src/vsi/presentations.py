@@ -14,6 +14,8 @@ the nose rather than up to sign.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -126,6 +128,17 @@ def canonical_proj_decomp(q: Quiver, a) -> ProjDecomp:
     return ProjDecomp(q, a, mu, gamma1)
 
 
+@functools.lru_cache(maxsize=64)
+def _path_pairs(q: Quiver) -> tuple[tuple[int, int, tuple], ...]:
+    """(u, v, paths u -> v) for each vertex pair joined by a path, in order."""
+    return tuple(
+        (u, v, q.paths(u, v))
+        for u in range(q.n)
+        for v in range(q.n)
+        if q.paths(u, v)
+    )
+
+
 class Presentation:
     """An element of R(gamma0, gamma1) with an explicit summand order."""
 
@@ -146,25 +159,21 @@ class Presentation:
         self.gamma0 = slot_counts(quiver, self.slots0)
         self.gamma1 = slot_counts(quiver, self.slots1)
         filled: dict[tuple[int, int], tuple] = {}
-        for u in range(quiver.n):
-            for v in range(quiver.n):
-                paths = quiver.paths(u, v)
-                if not paths:
-                    continue
-                shape = (self.gamma0[u], self.gamma1[v])
-                given = blocks.get((u, v)) if blocks else None
-                mats = []
-                for i in range(len(paths)):
-                    mat = None if given is None else given[i]
-                    if mat is None:
-                        mat = field.zeros(*shape)
-                    elif mat.shape != shape:
-                        raise DimensionMismatchError(
-                            f"block ({u},{v}) path {i}: shape {mat.shape}, "
-                            f"expected {shape}"
-                        )
-                    mats.append(mat)
-                filled[(u, v)] = tuple(mats)
+        for u, v, paths in _path_pairs(quiver):
+            shape = (self.gamma0[u], self.gamma1[v])
+            given = blocks.get((u, v)) if blocks else None
+            mats = []
+            for i in range(len(paths)):
+                mat = None if given is None else given[i]
+                if mat is None:
+                    mat = field.zeros(*shape)
+                elif mat.shape != shape:
+                    raise DimensionMismatchError(
+                        f"block ({u},{v}) path {i}: shape {mat.shape}, "
+                        f"expected {shape}"
+                    )
+                mats.append(mat)
+            filled[(u, v)] = tuple(mats)
         self.blocks = filled
 
     @property
@@ -209,15 +218,14 @@ def random_presentation(
     rng = derive_rng(
         seed, "pres", q.names, q.arrows, decomp.gamma0, decomp.gamma1, field.name
     )
-    blocks: dict[tuple[int, int], tuple] = {}
     g0, g1 = slot_counts(q, slots0), slot_counts(q, slots1)
-    for u in range(q.n):
-        for v in range(q.n):
-            paths = q.paths(u, v)
-            if paths:
-                blocks[(u, v)] = tuple(
-                    field.rand_mat(rng, g0[u], g1[v]) for _ in paths
-                )
+    pairs = _path_pairs(q)
+    mats = iter(field.rand_mats(
+        rng, [(g0[u], g1[v]) for u, v, paths in pairs for _ in paths]
+    ))
+    blocks = {
+        (u, v): tuple(itertools.islice(mats, len(paths))) for u, v, paths in pairs
+    }
     return Presentation(q, field, slots0, slots1, blocks)
 
 
@@ -252,7 +260,7 @@ def random_aut(
                 blocks[(u, v)] = (field.rand_invertible(rng, gamma[v]),)
             else:
                 blocks[(u, v)] = tuple(
-                    field.rand_mat(rng, gamma[u], gamma[v]) for _ in paths
+                    field.rand_mats(rng, [(gamma[u], gamma[v])] * len(paths))
                 )
     return Presentation(q, field, slots, slots, blocks)
 
@@ -478,10 +486,32 @@ def _path_map(v_rep: Representation, u: int, path) -> np.ndarray:
     return cur
 
 
+def _vertex_grouped(slots: Slots, beta: DimVector) -> tuple[list[int], list | None]:
+    """Lay out beta[v] rows per slot with each vertex's slots contiguous: the
+    start of each vertex's group followed by the total, and the grouped
+    position of every row in slot order (None when the slots are already
+    vertex-sorted)."""
+    starts = [0]
+    for v in range(len(beta)):
+        starts.append(starts[-1] + slots.count(v) * beta[v])
+    if all(s <= t for s, t in zip(slots, slots[1:])):
+        return starts, None
+    order: list[int] = []
+    nxt = list(starts)
+    for s in slots:
+        order.extend(range(nxt[s], nxt[s] + beta[s]))
+        nxt[s] += beta[s]
+    return starts, order
+
+
 def hom_matrix(phi: Presentation, v_rep: Representation) -> np.ndarray:
     """The matrix of Hom(phi, V): rows over (slots1, V-basis), columns over
     (slots0, V-basis); block for slots (s0 at u, s1 at v) is
-    sum_p phi_p[occ(s0), occ(s1)] * V_p."""
+    sum_p phi_p[occ(s0), occ(s1)] * V_p.
+
+    With each side's slots grouped by vertex, the blocks of the pair (u, v)
+    form the single rectangle sum_p kron(phi_p^t, V_p); one row and one
+    column permutation then restore the slot order."""
     if phi.quiver != v_rep.quiver:
         raise QuiverMismatchError("presentation and representation quiver differ")
     if phi.field != v_rep.field:
@@ -490,40 +520,25 @@ def hom_matrix(phi: Presentation, v_rep: Representation) -> np.ndarray:
         )
     q, f = phi.quiver, phi.field
     beta = v_rep.dim
-    row_off = []
-    r = 0
-    for s in phi.slots1:
-        row_off.append(r)
-        r += beta[s]
-    col_off = []
-    c = 0
-    for s in phi.slots0:
-        col_off.append(c)
-        c += beta[s]
-    h = f.zeros(r, c)
-    occ0: dict[int, list[int]] = defaultdict(list)
-    occ1: dict[int, list[int]] = defaultdict(list)
-    for s, u in enumerate(phi.slots0):
-        occ0[u].append(s)
-    for s, v in enumerate(phi.slots1):
-        occ1[v].append(s)
+    row0, row_order = _vertex_grouped(phi.slots1, beta)
+    col0, col_order = _vertex_grouped(phi.slots0, beta)
+    h = f.zeros(row0[-1], col0[-1])
     for (u, v), path_mats in phi.blocks.items():
         if beta[u] == 0 or beta[v] == 0:
             continue
-        paths = q.paths(u, v)
-        for pi, coeffs in enumerate(path_mats):
+        acc = None
+        for path, coeffs in zip(q.paths(u, v), path_mats):
             if f.is_zero(coeffs):
                 continue
-            vp = _path_map(v_rep, u, paths[pi])
-            for i, s0 in enumerate(occ0[u]):
-                for j, s1 in enumerate(occ1[v]):
-                    cval = coeffs[i, j]
-                    if f.s_eq(cval, f.zero):
-                        continue
-                    r0, c0 = row_off[s1], col_off[s0]
-                    h[r0 : r0 + beta[v], c0 : c0 + beta[u]] = f.add(
-                        h[r0 : r0 + beta[v], c0 : c0 + beta[u]], f.smul(cval, vp)
-                    )
+            term = f.kron(coeffs.T, _path_map(v_rep, u, path))
+            acc = term if acc is None else f.add(acc, term)
+        if acc is not None:
+            r, c = acc.shape
+            h[row0[v] : row0[v] + r, col0[u] : col0[u] + c] = acc
+    if row_order is not None:
+        h = h[row_order]
+    if col_order is not None:
+        h = h[:, col_order]
     return h
 
 

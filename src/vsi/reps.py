@@ -79,7 +79,7 @@ def random_rep(q: Quiver, a, field: Field, seed: int) -> Representation:
     """Entry-wise random representation of dimension vector a, seed-determined."""
     a = check_nonneg(q, a)
     rng = derive_rng(seed, "rep", q.names, q.arrows, a, field.name)
-    mats = tuple(field.rand_mat(rng, a[h], a[t]) for t, h in q.arrows)
+    mats = field.rand_mats(rng, [(a[h], a[t]) for t, h in q.arrows])
     return Representation(q, field, a, mats)
 
 

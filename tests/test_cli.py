@@ -405,3 +405,55 @@ def test_cv_over_q_golden_values(capsys, tmp_path, quiver, seed, alpha, beta, va
     assert code == 0, err
     data = json.loads(out)
     assert data["value"] == value and data["nonvanishing"] is True
+
+
+@pytest.mark.parametrize(
+    "field, alpha, beta, value",
+    [
+        ("fp:32003", "-3,0,-3", "0,3,3", "21366"),
+        ("fp:32003", "-3,0,-3", "0,2,2", "19876"),
+        ("fp:2147483647", "-3,0,-2", "0,2,3", "499445272"),
+    ],
+)
+def test_cv_over_gf_golden_values(capsys, field, alpha, beta, value):
+    # exact C_V sample values over GF(p), fixed before the random matrices of
+    # a sample were drawn in one call; they pin every seeded draw
+    code, out, err = _run(
+        capsys, "--field", field, "--seed", "7", "cv", f"--alpha={alpha}",
+        "--beta", beta,
+    )
+    assert code == 0, err
+    assert out.splitlines()[0] == f"C_V sample value = {value}"
+
+
+def test_support_membership_needs_no_halfspaces(capsys, tmp_path, monkeypatch):
+    # text output without --halfspaces answers from d_membership alone
+    import vsi.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("support built the halfspace system")
+
+    monkeypatch.setattr(vsi.cli, "d_beta_halfspaces", refuse)
+    path = tmp_path / "d4.quiver"
+    path.write_text("1 -> 4\n2 -> 4\n3 -> 4\n", encoding="utf-8")
+    d4 = ["--quiver", str(path)]
+    for quiver, alpha, beta, member in (
+        ([], "-1,-1,-2", "0,1,2", "true"),
+        ([], "-1,0,-2", "0,1,2", "false"),
+        (d4, "1,1,1,2", "0,0,0,1", "false"),
+        (d4, "1,0,0,1", "0,1,0,1", "true"),
+    ):
+        code, out, err = _run(
+            capsys, *quiver, "support", f"--alpha={alpha}", "--beta", beta
+        )
+        assert code == 0, err
+        assert out == f"member:{member}\n"
+
+
+def test_support_zero_beta_exits_one(capsys):
+    for extra in ([], ["--halfspaces"]):
+        code, out, err = _run(
+            capsys, "support", "--alpha=-1,-1,-2", "--beta", "0,0,0", *extra
+        )
+        assert code == 1 and out == ""
+        assert "D(beta) needs a nonzero beta" in err

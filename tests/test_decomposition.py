@@ -19,6 +19,7 @@ from vsi import (
     is_schur_root,
     mix_seed,
     parse_field,
+    positive_roots,
     random_rep,
     subrep_test,
     supp_test_randomized,
@@ -312,3 +313,76 @@ def test_example_grid_decomposes_alike_over_every_field(ex_quiver, gf):
                 assert generic_decomposition(ex_quiver, alpha, f) == want, (
                     alpha, f.name
                 )
+
+
+A5 = Quiver(list("12345"), [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")])
+
+
+def _membership_pairs(q, count):
+    """Seeded (x, beta) pairs like the support bench's: betas from a small
+    box, positive roots and the vectors just past the highest root; x in a
+    small box, mostly on the hyperplane <x, beta> = 0."""
+    rng = derive_rng(51, "by-parts", q.names, q.arrows)
+    roots = positive_roots(q)
+    high = max(roots, key=sum)
+    past = [tuple(h + (i == v) for i, h in enumerate(high)) for v in range(q.n)]
+    betas = [past[int(rng.integers(q.n))], past[int(rng.integers(q.n))]]
+    betas += [roots[int(i)] for i in rng.choice(len(roots), 3, replace=False)]
+    betas += [
+        tuple(int(x) for x in rng.integers(0, 3, size=q.n)) for _ in range(3)
+    ]
+    pairs = []
+    for beta in (b for b in betas if any(b)):
+        on_plane = off_plane = 0
+        while on_plane < count:
+            x = tuple(int(v) for v in rng.integers(-3, 4, size=q.n))
+            if euler_form(q, x, beta) == 0:
+                on_plane += 1
+            elif off_plane >= count // 4:
+                continue
+            else:
+                off_plane += 1
+            pairs.append((x, beta))
+    return pairs
+
+
+def test_dynkin_membership_by_parts_equals_the_halfspace_system(
+    d4, gf, monkeypatch
+):
+    cases = []
+    for q in (d4, A5, D5, E6):
+        systems = {}
+        for x, beta in _membership_pairs(q, 24):
+            if beta not in systems:
+                systems[beta] = d_beta_halfspaces(q, beta, gf)
+            cases.append((q, x, beta, systems[beta].contains(x)))
+    e6_high = sum(max(positive_roots(E6), key=sum))
+    assert any(sum(b) > e6_high for q, _, b, _ in cases if q is E6)
+    calls = Counter()
+
+    def count(name):
+        real = getattr(decomposition, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, name, counted)
+
+    count("d_beta_halfspaces")
+    count("subrep_test")
+    decomposition._halfspaces.cache_clear()
+    fields = [parse_field(f) for f in FIELDS]
+    for k, (q, x, beta, want) in enumerate(cases):
+        got = d_membership(q, x, beta, fields[k % len(fields)])
+        assert got == want, (q.arrows, x, beta)
+    assert not calls, calls
+    members = sum(want for *_, want in cases)
+    assert len(cases) == 960 and 100 < members < len(cases) - 100
+
+
+def test_membership_refuses_a_zero_beta(ex_quiver, d4, gf):
+    for q in (ex_quiver, d4, K3):
+        for x in ((0,) * q.n, (1,) + (0,) * (q.n - 1)):
+            with pytest.raises(ZeroVectorError, match="nonzero beta"):
+                d_membership(q, x, (0,) * q.n, gf)

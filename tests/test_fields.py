@@ -69,7 +69,7 @@ def test_rationals_scalar_arithmetic():
 
 def test_matrix_string_round_trip():
     for field in (prime_field(101), QQ):
-        m = field.rand_mat(derive_rng(3, "roundtrip"), 3, 2)
+        (m,) = field.rand_mats(derive_rng(3, "roundtrip"), [(3, 2)])
         back = field.mat_from_str(field.mat_to_str(m), 2)
         assert field.eq(m, back)
 
@@ -109,8 +109,7 @@ def test_elementwise_ops_match_entrywise_references(field):
     rng = derive_rng(5, "elementwise", field.name)
     shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2)]
     for (m, n), (k, l) in zip(shapes, shapes[::-1] + shapes):
-        a, b = field.rand_mat(rng, m, n), field.rand_mat(rng, m, n)
-        c = field.rand_mat(rng, k, l)
+        a, b, c = field.rand_mats(rng, [(m, n), (m, n), (k, l)])
         total = field.add(a, b)
         assert total.shape == (m, n)
         assert _entries(field, total) == [

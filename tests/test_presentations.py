@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from vsi import (
@@ -28,6 +29,7 @@ from vsi import (
     identity_presentation,
     minimal_decomp,
     mix_seed,
+    parse_field,
     path_count,
     presentation_from_json,
     presentation_to_json,
@@ -39,6 +41,7 @@ from vsi import (
     zero_rep,
     zeta,
 )
+from vsi.presentations import sorted_slots
 from vsi.quiver import apply_int_matrix, check_dim_vector
 
 
@@ -368,3 +371,138 @@ def test_presentation_json_round_trip(ex_quiver, gf, qq):
         for key in phi.blocks:
             for a, b in zip(phi.blocks[key], back.blocks[key]):
                 assert field.eq(a, b)
+
+
+# ------------------------------------------------- hom_matrix and seeded draws
+
+FIELDS = ("fp:32003", "fp:2147483647", "q")
+QUIVERS = {
+    "EX": Quiver(list("123"), [("1", "2"), ("2", "3"), ("2", "3")]),
+    "D4": Quiver(list("1234"), [("1", "4"), ("2", "4"), ("3", "4")]),
+    "E6": Quiver(
+        list("123456"), [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("6", "3")]
+    ),
+    # A~2: the two paths 1 -> 3 make a two-path block
+    "A~2": Quiver(list("123"), [("1", "2"), ("2", "3"), ("1", "3")]),
+}
+
+
+def _reference_hom_matrix(phi, v_rep):
+    """Hom(phi, V) entry by entry: for slots s0 at u and s1 at v, add
+    phi_p[occ(s0), occ(s1)] * V_p into the (s1, s0) block."""
+    q, f = phi.quiver, phi.field
+    beta = v_rep.dim
+    row_off, col_off = [], []
+    for slots, offs in ((phi.slots1, row_off), (phi.slots0, col_off)):
+        total = 0
+        for s in slots:
+            offs.append(total)
+            total += beta[s]
+    h = f.zeros(sum(beta[s] for s in phi.slots1), sum(beta[s] for s in phi.slots0))
+    occ0 = {u: [s for s, w in enumerate(phi.slots0) if w == u] for u in range(q.n)}
+    occ1 = {v: [s for s, w in enumerate(phi.slots1) if w == v] for v in range(q.n)}
+    for (u, v), path_mats in phi.blocks.items():
+        if beta[u] == 0 or beta[v] == 0:
+            continue
+        for path, coeffs in zip(q.paths(u, v), path_mats):
+            vp = f.eye(beta[u])
+            for k in path:
+                vp = f.mm(v_rep.mats[k], vp)
+            for i, s0 in enumerate(occ0[u]):
+                for j, s1 in enumerate(occ1[v]):
+                    r0, c0 = row_off[s1], col_off[s0]
+                    block = h[r0 : r0 + beta[v], c0 : c0 + beta[u]]
+                    h[r0 : r0 + beta[v], c0 : c0 + beta[u]] = f.add(
+                        block, f.smul(coeffs[i, j], vp)
+                    )
+    return h
+
+
+def _assert_same_matrix(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    assert all(type(x) is type(y) for x, y in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("label", sorted(QUIVERS))
+def test_hom_matrix_equals_the_entrywise_reference(label, field_name):
+    q, field = QUIVERS[label], parse_field(field_name)
+    rng = derive_rng(48, "hom-reference", label, field_name)
+    cases = []
+    for t in range(6):
+        alpha = tuple(int(x) for x in rng.integers(-2, 3, size=q.n))
+        beta = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+        if t == 0:
+            beta = (0,) + beta[1:]  # a zero beta_v
+        dec = minimal_decomp(q, alpha)
+        shuffled = [
+            tuple(int(s) for s in rng.permutation(sorted_slots(q, gamma)))
+            for gamma in (dec.gamma0, dec.gamma1)
+        ]
+        seed = mix_seed(48, t)
+        phi = random_presentation(dec, field, seed)
+        extra = tuple(int(x) for x in rng.integers(0, 2, size=q.n))
+        v = random_rep(q, beta, field, mix_seed(seed, "V"))
+        cases += [
+            (phi, v),  # vertex-sorted slots
+            (random_presentation(dec, field, seed, *shuffled), v),
+            (stabilize(phi, extra), v),  # new summands appended last
+        ]
+    # zero gamma sides: a projective has gamma1 = 0, a shifted projective
+    # gamma0 = 0
+    ones = random_rep(q, (1,) * q.n, field, mix_seed(49, "V"))
+    for alpha, empty in ((proj_vector(q, 0), 1), (proj_vector(q, q.n - 1), 0)):
+        dec = minimal_decomp(q, alpha if empty else tuple(-x for x in alpha))
+        assert not any((dec.gamma0, dec.gamma1)[empty])
+        cases.append((random_presentation(dec, field, mix_seed(49, alpha)), ones))
+    for phi, v in cases:
+        _assert_same_matrix(hom_matrix(phi, v), _reference_hom_matrix(phi, v))
+
+
+def _reference_draws(field, rng, shapes):
+    """One rng.integers call per matrix, the per-block draws of random_rep
+    and random_presentation."""
+    out = []
+    for m, n in shapes:
+        if field.char:
+            out.append(rng.integers(0, field.char, size=(m, n), dtype=np.int64))
+        else:
+            raw = rng.integers(-(10**4), 10**4 + 1, size=(m, n))
+            out.append(field.mat_of(m, n, raw.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+def test_batched_draws_equal_per_block_draws(field_name):
+    field = parse_field(field_name)
+    for label, q in sorted(QUIVERS.items()):
+        rng = derive_rng(50, "draws", label, field_name)
+        for t in range(4):
+            a = tuple(int(x) for x in rng.integers(0, 4, size=q.n))
+            seed = mix_seed(50, t)
+            m = random_rep(q, a, field, seed)
+            ref = _reference_draws(
+                field,
+                derive_rng(seed, "rep", q.names, q.arrows, a, field.name),
+                [(a[h], a[tail]) for tail, h in q.arrows],
+            )
+            for got, want in zip(m.mats, ref, strict=True):
+                _assert_same_matrix(got, want)
+            alpha = tuple(int(x) for x in rng.integers(-3, 4, size=q.n))
+            dec = minimal_decomp(q, alpha)
+            phi = random_presentation(dec, field, seed)
+            keys = [
+                (u, v, p) for u in range(q.n) for v in range(q.n)
+                for p in range(len(q.paths(u, v)))
+            ]
+            ref = _reference_draws(
+                field,
+                derive_rng(
+                    seed, "pres", q.names, q.arrows, dec.gamma0, dec.gamma1,
+                    field.name,
+                ),
+                [(dec.gamma0[u], dec.gamma1[v]) for u, v, _ in keys],
+            )
+            for (u, v, p), want in zip(keys, ref, strict=True):
+                _assert_same_matrix(phi.block(u, v, p), want)
