@@ -2,11 +2,16 @@
 
 Generic answers do not depend on the field, as Schofield's criteria hold in
 every characteristic.  On a Dynkin quiver they are closed-form, read off the
-facet cone of the tilting complex that holds the vector.  Elsewhere they are
-sampled over `fields.GF`, whatever field is passed: split off the canonical
-pair (mu, gamma), sample a random representation of mu, break it into
-indecomposables, and certify the result (Schur parts, vanishing generic ext
-both ways, support disjointness).
+facet cone of the tilting complex that holds the vector.  Elsewhere the
+canonical pair (mu, gamma) is split off first, and mu lives on the full
+subquiver on its support, a direct sum of connected components with no ext
+between them.  A Dynkin component (a single vertex included) is read off its
+own facet cone, and a generalized Kronecker component (two vertices, m >= 2
+arrows) follows the explicit rank-2 rule (Schofield; Derksen-Weyman).  Only
+what is left, the non-Dynkin components of three or more vertices, is
+sampled over `fields.GF`, whatever field is passed: sample a random
+representation, break it into indecomposables, and certify the result (Schur
+parts, vanishing generic ext both ways, support disjointness).
 D(beta) is cut out by one Euler-form equality and one inequality per generic
 subrepresentation vector, decided by the ext-vanishing criterion.  Membership
 in D(beta) on a Dynkin quiver needs no such system: it is read off the parts
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DecompositionUnstableError,
+    InvariantViolationError,
     SplitFailureError,
     VsiError,
     ZeroVectorError,
@@ -94,8 +100,10 @@ def generic_decomposition(
     """Decompose alpha into Schur roots minus a shifted-projective part.
 
     `field` does not change it.  On a Dynkin quiver this is `walk_locate`.
-    Elsewhere: samples a representation of the canonical mu over GF,
-    decomposes it, and validates the part list; resamples on any failure.
+    Elsewhere each support component of the canonical mu that is Dynkin or
+    has two vertices is closed-form (`_closed_form`); the rest of mu is
+    sampled over GF, decomposed, and its part list validated, resampling on
+    any failure.
     """
     a = check_dim_vector(q, a)
     if is_dynkin(q):
@@ -103,6 +111,21 @@ def generic_decomposition(
 
         return walk_locate(q, a)
     mu, gamma = canonical_decomp(q, a)
+    parts: list[DimVector] = []
+    rest = [0] * q.n
+    for comp in _support_components(q, mu):
+        rule = _closed_form(q, comp)
+        if rule is None:
+            for v in comp:
+                rest[v] = mu[v]
+        else:
+            parts += _component_parts(q, comp, rule, mu)
+    if any(rest):
+        parts += _sampled_parts(q, tuple(rest), gamma, seed, max_retries)
+    return GenericDecomposition(alpha=a, schur_parts=tuple(sorted(parts)), gamma=gamma)
+
+
+def _sampled_parts(q, mu, gamma, seed, max_retries) -> list[DimVector]:
     gamma_support = {v for v in range(q.n) if gamma[v]}
     failure = "no samples taken"
     for retry in range(max_retries):
@@ -115,10 +138,106 @@ def generic_decomposition(
         parts, failure = _expand_summands(q, summands)
         failure = failure or _validate_parts(q, parts, gamma_support)
         if failure is None:
-            return GenericDecomposition(alpha=a, schur_parts=tuple(parts), gamma=gamma)
+            return parts
     raise DecompositionUnstableError(
-        f"validation failed for alpha={a} after {max_retries} samples: {failure}"
+        f"validation failed for mu={mu} after {max_retries} samples: {failure}"
     )
+
+
+def _support_components(q: Quiver, a: DimVector) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components of the full subquiver on
+    supp(a), each in q's order."""
+    left = [v for v in range(q.n) if a[v]]
+    comps = []
+    while left:
+        comp = {left[0]}
+        grown = True
+        while grown:
+            new = {
+                h if t in comp else t
+                for t, h in q.arrows
+                if a[t] and a[h] and (t in comp) != (h in comp)
+            }
+            grown = bool(new)
+            comp |= new
+        comps.append(tuple(sorted(comp)))
+        left = [v for v in left if v not in comp]
+    return comps
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _closed_form(q: Quiver, comp: tuple[int, ...]):
+    """The generic decomposition on the full subquiver of q on the connected
+    vertex set `comp`, as a map from a vector listed in comp's order to the
+    list of its Schur parts in the same order; None where only sampling
+    answers (a non-Dynkin component of three or more vertices).
+
+    Two vertices joined by m >= 2 arrows, which all run from comp[0] to
+    comp[1] since q's order is topological, follow `_kronecker_parts`.  A
+    Dynkin component is `walk_locate` on the subquiver, which keeps comp's
+    order: it is topological, and a quiver breaks ties by input order.
+    """
+    arrows = [(t, h) for t, h in q.arrows if t in comp and h in comp]
+    if len(comp) == 2 and len(arrows) >= 2:
+        return lambda x: _kronecker_parts(len(arrows), *x)
+    sub = Quiver(
+        [q.names[v] for v in comp], [(q.names[t], q.names[h]) for t, h in arrows]
+    )
+    if not is_dynkin(sub):
+        return None
+    from .cluster import walk_locate  # cluster imports this module
+
+    return lambda x: list(walk_locate(sub, x).schur_parts)
+
+
+def _component_parts(q, comp, rule, mu) -> list[DimVector]:
+    """The closed-form parts of mu on `comp`, as vectors on q; raises
+    InvariantViolationError unless they sum to mu there."""
+    x = tuple(mu[v] for v in comp)
+    local = rule(x)
+    if tuple(map(sum, zip(*local))) != x:
+        raise InvariantViolationError(f"closed-form parts {local} do not sum to {x}")
+    parts = []
+    for part in local:
+        full = [0] * q.n
+        for v, c in zip(comp, part):
+            full[v] = c
+        parts.append(tuple(full))
+    return parts
+
+
+_MAX_PARTS = 2**20  # as many Schur parts as a Dynkin decomposition lists
+
+
+def _kronecker_parts(m: int, x: int, y: int) -> list[tuple[int, int]]:
+    """Generic parts of (x, y), not both 0, on the Kronecker quiver with
+    m >= 2 arrows, x at the source.
+
+    m = 2 and x = y: x copies of the isotropic root (1, 1).  m >= 3 and Tits
+    form x^2 + y^2 - mxy < 0: (x, y) itself.  Otherwise a r_k + b r_{k+1} with
+    a, b >= 0 for the two consecutive real roots whose cone holds (x, y): if
+    y >= x the preprojective ones (0, 1), (1, m), r_{k+1} = m r_k - r_{k-1},
+    else their mirror images, the preinjective ones.  det(r_k, r_{k+1}) = -1
+    for every k, so a and b are integer Cramer coordinates.
+    """
+    if x > y:
+        return [(s, t) for t, s in _kronecker_parts(m, y, x)]
+    if m == 2 and x == y:
+        terms = [((1, 1), x)]
+    elif x * x + y * y - m * x * y < 0:
+        terms = [((x, y), 1)]
+    else:
+        if m == 2:  # r_k = (k, k + 1): start at the pair that holds (x, y)
+            k = x // (y - x)
+            lo, hi = (k, k + 1), (k + 1, k + 2)
+        else:  # the slopes fall geometrically, so few steps
+            lo, hi = (0, 1), (1, m)
+        while y * hi[0] - x * hi[1] < 0:  # (x, y) lies below hi's ray
+            lo, hi = hi, (m * hi[0] - lo[0], m * hi[1] - lo[1])
+        terms = [(lo, y * hi[0] - x * hi[1]), (hi, x * lo[1] - y * lo[0])]
+    if sum(t for _, t in terms) > _MAX_PARTS:
+        raise VsiError(f"{(x, y)} has more than {_MAX_PARTS} Schur parts")
+    return [root for root, t in terms for _ in range(t)]
 
 
 def _expand_summands(q, summands):
@@ -160,13 +279,22 @@ def _validate_parts(q, parts, gamma_support) -> str | None:
 def is_schur_root(
     q: Quiver, a, field: Field, seed: int = 0, trials: int = 3
 ) -> bool:
-    """Dynkin: Tits form 1, whatever the seed.  Elsewhere: some sampled
+    """Dynkin: Tits form 1, whatever the seed.  Elsewhere: a disconnected
+    support is never Schur; a connected one with a closed form (Dynkin or two
+    vertices) is Schur iff it is its own only part; otherwise some sampled
     representation of a over GF (whatever `field` is) has End = k."""
     a = check_nonneg(q, a)
     if all(x == 0 for x in a):
         raise ZeroVectorError("the zero vector is not a root")
     if is_dynkin(q):
         return tits_form(q, a) == 1
+    comps = _support_components(q, a)
+    if len(comps) > 1:
+        return False
+    rule = _closed_form(q, comps[0])
+    if rule is not None:
+        x = tuple(a[v] for v in comps[0])
+        return rule(x) == [x]
     return any(
         end_dim(random_rep(q, a, GF, mix_seed(seed, "schur", t))) == 1
         for t in range(trials)

@@ -205,6 +205,22 @@ def test_a14_decompose_needs_no_complex(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5
 
 
+def test_kronecker_decompose_is_closed_form(capsys, tmp_path):
+    # three arrows 1 => 2: (40, 100) has Tits form -400 and is its own only
+    # part (a 140-dimensional sample would take minutes); (13, 40) lies in
+    # the cone of the real roots (0, 1) and (1, 3)
+    path = tmp_path / "k3.quiver"
+    path.write_text("1 -> 2\n" * 3)
+    code, out, err = _run(capsys, "--quiver", str(path), "decompose", "--", "40,100")
+    assert code == 0, err
+    assert out.splitlines() == ["alpha = 40,100", "  part  40,100", "  gamma 0,0"]
+    code, out, err = _run(
+        capsys, "--quiver", str(path), "--format", "json", "decompose", "--", "13,40"
+    )
+    assert code == 0, err
+    assert json.loads(out)["parts"] == [[0, 1]] + [[1, 3]] * 13
+
+
 def test_large_prime_decomposes_like_the_default(capsys):
     argv = ("--format", "json", "decompose", "--", "-1,2,3")
     code, out, err = _run(capsys, "--field", "fp:2147483647", *argv)

@@ -7,6 +7,9 @@ import pytest
 
 from vsi import (
     Quiver,
+    SplitFailureError,
+    VsiError,
+    canonical_decomp,
     ZeroVectorError,
     cached_generic_ext,
     d_beta_halfspaces,
@@ -14,6 +17,7 @@ from vsi import (
     derive_rng,
     end_dim,
     euler_form,
+    fitting_decompose,
     generic_decomposition,
     generic_ext,
     is_schur_root,
@@ -178,16 +182,34 @@ def test_cached_generic_ext_is_deterministic(ex_quiver, gf):
     assert first == second
 
 
-def test_generic_decomposition_expands_isotropic_multiples(ex_quiver, gf):
-    # mu = (0, 9, 9) lands on the double-arrow subquiver, where a base-field
-    # sample is a matrix pencil with eigenvalues in extension fields; the
-    # parts must still come out as nine copies of the isotropic root
+def test_generic_decomposition_expands_isotropic_multiples(ex_quiver, gf, monkeypatch):
+    # full support, so these sample: a base-field sample of a repeated
+    # isotropic root can come out as one summand whose End is a degree-d
+    # extension field (a Galois orbit), which must expand to d copies
+    orders = []
+    real = decomposition.fitting_decompose
+
+    def spy(*args, **kwargs):
+        summands = real(*args, **kwargs)
+        orders.extend(d for _, d in summands)
+        return summands
+
+    monkeypatch.setattr(decomposition, "fitting_decompose", spy)
+    for alpha, root, count in (((3, 3, 3), (1, 1, 1), 3), ((2, 4, 2), (1, 2, 1), 2)):
+        orders.clear()
+        dec = generic_decomposition(ex_quiver, alpha, gf, seed=0)
+        assert dec.schur_parts == (root,) * count and dec.gamma == (0, 0, 0)
+        assert orders == [count]  # seed 0 meets the orbit branch on both
+        for seed in (1, 3):
+            assert generic_decomposition(ex_quiver, alpha, gf, seed=seed) == dec
+
+
+def test_isotropic_multiples_on_a_kronecker_component_are_closed_form(ex_quiver, gf):
+    # mu = (0, 9, 9) lives on the double arrow 2 => 3: nine copies of (1, 1)
     dec = generic_decomposition(ex_quiver, (-3, 6, 3), gf, seed=0)
     assert dec.gamma == (3, 0, 0)
     assert dec.schur_parts == ((0, 1, 1),) * 9
     assert dec.reconstruct(ex_quiver) == (-3, 6, 3)
-    again = generic_decomposition(ex_quiver, (-3, 6, 3), gf, seed=5)
-    assert _parts(again) == _parts(dec)
 
 
 def _box(top):
@@ -386,3 +408,123 @@ def test_membership_refuses_a_zero_beta(ex_quiver, d4, gf):
         for x in ((0,) * q.n, (1,) + (0,) * (q.n - 1)):
             with pytest.raises(ZeroVectorError, match="nonzero beta"):
                 d_membership(q, x, (0,) * q.n, gf)
+
+
+# Euclidean quivers beside the bundled example: A~2 (a triangle 1 -> 2 -> 3,
+# 1 -> 3) and D~4 (four arrows into vertex 5)
+A2_TILDE = Quiver(list("123"), [("1", "2"), ("2", "3"), ("1", "3")])
+D4_TILDE = Quiver(list("12345"), [(c, "5") for c in "1234"])
+KRONECKER = {m: Quiver(["1", "2"], [("1", "2")] * m) for m in (2, 3, 4)}
+
+
+def _sampled_definition(q, mu, gf, seed):
+    """The parts of a random representation of mu, split by Fitting, with
+    Galois orbits expanded; resampled on a failed split or expansion."""
+    for t in range(5):
+        rep = random_rep(q, mu, gf, mix_seed(seed, "oracle-rep", t))
+        try:
+            summands = fitting_decompose(rep, mix_seed(seed, "oracle-fit", t))
+        except SplitFailureError:
+            continue
+        parts, failure = decomposition._expand_summands(q, summands)
+        if failure is None:
+            return tuple(parts)
+    raise AssertionError(f"no sample of {mu} decomposed")
+
+
+def _closed_form_mus(q, box):
+    """alpha in box^n, nonzero, and the canonical mu of each, kept where mu
+    meets only Dynkin or two-vertex support components: every mu on a
+    two-vertex quiver, and on the larger (connected, non-Dynkin) ones every
+    mu without full support."""
+    for alpha in itertools.product(box, repeat=q.n):
+        mu = canonical_decomp(q, alpha)[0]
+        if any(mu) and (q.n == 2 or not all(mu)):
+            yield alpha, mu
+
+
+def test_closed_forms_match_the_sampled_definition(ex_quiver, gf):
+    grids = [
+        (KRONECKER[2], range(-4, 8)),
+        (KRONECKER[3], range(-4, 8)),
+        (KRONECKER[4], range(-4, 6)),
+        (ex_quiver, range(-2, 4)),
+        (A2_TILDE, range(-2, 4)),
+        (D4_TILDE, range(-2, 3)),
+    ]
+    rng = derive_rng(61, "closed-forms")
+    checked = 0
+    for q, box in grids:
+        by_mu = {}
+        for alpha, mu in _closed_form_mus(q, box):
+            by_mu.setdefault(mu, []).append(alpha)
+        mus = sorted(by_mu)
+        if q is D4_TILDE:  # 426 of them; a seeded fifth keeps this quick
+            mus = [mus[int(i)] for i in rng.choice(len(mus), 90, replace=False)]
+        for mu in mus:
+            want = _sampled_definition(q, mu, gf, mix_seed(61, q.arrows, mu))
+            for alpha in by_mu[mu]:
+                dec = generic_decomposition(q, alpha, gf)
+                assert dec.schur_parts == want, (q.arrows, alpha)
+            sampled_schur = any(
+                end_dim(random_rep(q, mu, gf, mix_seed(62, mu, t))) == 1
+                for t in range(3)
+            )
+            assert is_schur_root(q, mu, gf) == sampled_schur, (q.arrows, mu)
+            checked += 1
+    assert checked > 400
+
+
+def test_closed_form_components_never_sample(ex_quiver, gf, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form component sampled a representation")
+
+    for name in ("random_rep", "fitting_decompose"):
+        monkeypatch.setattr(decomposition, name, refuse)
+    cases = [
+        # K2 on 2 => 3 and Dynkin pieces, including two components at once
+        (ex_quiver, (0, 10, 18), ((0, 1, 2),) * 6 + ((0, 2, 3),) * 2),
+        (ex_quiver, (0, 11, 9), ((0, 5, 4), (0, 6, 5))),
+        (ex_quiver, (3, 0, 1), ((0, 0, 1),) + ((1, 0, 0),) * 3),
+        (ex_quiver, (2, 2, 0), ((1, 1, 0),) * 2),
+        (KRONECKER[3], (40, 100), ((40, 100),)),
+        (KRONECKER[3], (13, 40), ((0, 1),) + ((1, 3),) * 13),
+        (KRONECKER[3], (21, 8), ((21, 8),)),  # a preinjective real root
+        (KRONECKER[3], (22, 8), ((3, 1),) * 2 + ((8, 3),) * 2),
+        (KRONECKER[2], (7, 7), ((1, 1),) * 7),
+        (KRONECKER[4], (-1, 0), ((0, 1),) * 4),  # (0, 4) - dim P(1)
+        (D4_TILDE, (1, 1, 1, 0, 2), ((1, 1, 1, 0, 2),)),  # D4's highest root
+        (D4_TILDE, (1, 1, 0, 0, 2), ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1))),
+        (D4_TILDE, (2, 1, 3, 1, 0), ((0, 0, 1, 0, 0),) * 3
+            + ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0)) + ((1, 0, 0, 0, 0),) * 2),
+        (A2_TILDE, (0, 2, 3), ((0, 0, 1), (0, 1, 1), (0, 1, 1))),
+        (A2_TILDE, (1, 0, 1), ((1, 0, 1),)),
+    ]
+    for q, alpha, parts in cases:
+        assert generic_decomposition(q, alpha, gf).schur_parts == tuple(sorted(parts))
+        mu = canonical_decomp(q, alpha)[0]
+        if any(mu):
+            assert is_schur_root(q, mu, gf) == (len(parts) == 1), (q.arrows, mu)
+    # as on Dynkin quivers, more than 2^20 parts are refused, not listed
+    for q, alpha in ((KRONECKER[2], (2**21, 2**21)), (KRONECKER[3], (0, 2**21))):
+        with pytest.raises(VsiError, match="Schur parts"):
+            generic_decomposition(q, alpha, gf)
+
+
+def test_full_support_on_a_larger_non_dynkin_quiver_still_samples(
+    ex_quiver, gf, monkeypatch
+):
+    calls = Counter()
+    for name in ("random_rep", "fitting_decompose"):
+        real = getattr(decomposition, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, name, counted)
+    dec = generic_decomposition(ex_quiver, (1, 2, 2), gf)
+    assert dec.schur_parts == ((1, 2, 2),)
+    assert calls["random_rep"] >= 1 and calls["fitting_decompose"] >= 1
+    calls.clear()
+    assert is_schur_root(ex_quiver, (1, 2, 2), gf) and calls["random_rep"] >= 1
