@@ -16,7 +16,9 @@ D(beta) is cut out by one Euler-form equality and one inequality per generic
 subrepresentation vector, decided by the ext-vanishing criterion.  Membership
 in D(beta) on a Dynkin quiver needs no such system: it is read off the parts
 of the vector's generic decomposition (see `d_membership`); elsewhere it is
-tested against the halfspaces.
+tested against the halfspaces.  The randomized support test samples over the
+caller's field instead: its trials come from one generator per call and are
+evaluated as one stacked elimination (see `supp_test_randomized`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DecompositionUnstableError,
     InvariantViolationError,
@@ -32,12 +36,13 @@ from .errors import (
     VsiError,
     ZeroVectorError,
 )
-from .fields import GF, Field, mix_seed
+from .fields import GF, Field, derive_rng, mix_seed
 from .presentations import (
     canonical_decomp,
-    cv_value,
+    hom_stack,
     minimal_decomp,
-    random_presentation,
+    path_pairs,
+    sorted_slots,
 )
 from .quiver import (
     DimVector,
@@ -378,14 +383,23 @@ def _halfspaces(q: Quiver, b: DimVector) -> HalfSpaceSystem:
     return d_beta_halfspaces(q, b, GF)
 
 
+# Trials stacked into one elimination: a large `trials` is evaluated a chunk at
+# a time, so memory stays at _TRIAL_CHUNK Hom matrices.
+_TRIAL_CHUNK = 8
+
+
 def supp_test_randomized(
     q: Quiver, a, b, field: Field, seed: int = 0, trials: int = 5
 ) -> bool:
     """Nonvanishing of the semi-invariant C_V on R^min(a) for general V.
 
-    Samples (phi, V) pairs and reports whether any determinant is nonzero;
-    a weight mismatch <a, b> != 0 counts as vanishing, and a = 0 gives the
-    empty determinant 1.
+    Draws `trials` independent uniform pairs (phi, V) over `field` and
+    reports whether any det Hom(phi, V) is nonzero; a weight mismatch
+    <a, b> != 0 counts as vanishing, and a = 0 gives the empty determinant 1.
+    The pairs come from one generator per call, drawn and evaluated up to
+    _TRIAL_CHUNK at a time: one `rand_mats` draw, one `hom_stack` and one
+    stacked `Field.det` per chunk, stopping at the first chunk with a
+    nonzero determinant.
     """
     a = check_dim_vector(q, a)
     b = check_nonneg(q, b)
@@ -398,9 +412,21 @@ def supp_test_randomized(
     if euler_form(q, a, b) != 0:
         return False
     dec = minimal_decomp(q, a)
-    for t in range(trials):
-        phi = random_presentation(dec, field, mix_seed(seed, "supp-phi", t))
-        v = random_rep(q, b, field, mix_seed(seed, "supp-v", t))
-        if not field.s_eq(cv_value(phi, v), field.zero):
+    g0, g1 = dec.gamma0, dec.gamma1
+    pairs = path_pairs(q)
+    shapes = [(g0[u], g1[v]) for u, v, paths in pairs for _ in paths]
+    shapes += [(b[h], b[t]) for t, h in q.arrows]
+    slots0, slots1 = sorted_slots(q, g0), sorted_slots(q, g1)
+    rng = derive_rng(seed, "supp", q.names, q.arrows, a, b, field.name)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        count = min(_TRIAL_CHUNK, trials - start)
+        flat = field.rand_mats(rng, [(count * r, c) for r, c in shapes])
+        mats = iter([m.reshape(count, *shape) for m, shape in zip(flat, shapes)])
+        blocks = {
+            (u, v): tuple(itertools.islice(mats, len(paths)))
+            for u, v, paths in pairs
+        }
+        h = hom_stack(q, field, count, slots0, slots1, blocks, list(mats), b)
+        if np.count_nonzero(field.det(h)):
             return True
     return False

@@ -91,11 +91,11 @@ class Field:
         return self._reduce(self.canon(c) * a)
 
     def kron(self, a, b):
-        """np.kron of two matrices, as one broadcast product."""
-        (m, n), (k, l) = a.shape, b.shape
-        return self._reduce(
-            np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(m * k, n * l)
-        )
+        """np.kron over the last two axes, as one broadcast product; leading
+        (stack) axes broadcast as in matmul."""
+        (m, n), (k, l) = a.shape[-2:], b.shape[-2:]
+        out = a[..., :, None, :, None] * b[..., None, :, None, :]
+        return self._reduce(out.reshape(out.shape[:-4] + (m * k, n * l)))
 
     def transpose(self, a):
         return a.T.copy()
@@ -324,7 +324,14 @@ class Rationals(Field):
         return linalg.qq_rref(a)
 
     def det(self, a):
-        return linalg.qq_det(a)
+        """qq_det of a matrix, or an object array of qq_det per matrix of an
+        (..., n, n) stack."""
+        if a.ndim == 2:
+            return linalg.qq_det(a)
+        out = np.empty(a.shape[:-2], dtype=object)
+        for i in np.ndindex(out.shape):
+            out[i] = linalg.qq_det(a[i])
+        return out
 
     def charpoly(self, a):
         return linalg.qq_charpoly(a)

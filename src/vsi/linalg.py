@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -82,41 +82,53 @@ def gf_eye(n: int) -> np.ndarray:
 
 
 def gf_mm(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product mod p.  Entries are below p, so an int64 dot product of length
-    k is exact while k*(p-1)^2 < 2^63; longer ones are summed in chunks."""
-    k = a.shape[1]
+    """Product mod p, of matrices or of stacks (..., m, k) @ (..., k, n) with
+    broadcast leading axes.  Entries are below p, so an int64 dot product of
+    length k is exact while k*(p-1)^2 < 2^63; longer ones are summed in
+    chunks."""
+    k = a.shape[-1]
     if k * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
     step = (2**63 - 1) // (p - 1) ** 2
-    out = gf_zeros(a.shape[0], b.shape[1])
-    for s in range(0, k, step):
-        out = (out + (a[:, s : s + step] @ b[s : s + step]) % p) % p
+    out = (a[..., :step] @ b[..., :step, :]) % p
+    for s in range(step, k, step):
+        out = (out + (a[..., s : s + step] @ b[..., s : s + step, :]) % p) % p
     return out
 
 
-def gf_det(p: int, a: np.ndarray) -> int:
-    m, n = a.shape
+def gf_det(p: int, a: np.ndarray):
+    """Determinant mod p of an (n, n) matrix, as an int, or of every matrix
+    of an (..., n, n) stack, as an int64 array of the leading shape.
+
+    One column-by-column elimination serves the whole stack, each matrix
+    with its own pivots.  A zero pivot is replaced by adding the first row
+    below it with a nonzero entry in its column, which keeps the
+    determinant; a matrix with no such row is singular, its determinant is
+    marked 0 and it is carried along (its column below the pivot is zero, so
+    the update changes nothing).  Entries below the pivots are never read
+    again, so they are left as they are."""
+    *lead, m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1 % p
-    a = a.copy() % p
-    det = 1
+    count = prod(lead)
+    a = a.reshape(count, n, n) % p
+    det = np.ones(count, dtype=np.int64)
     for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pr = c + int(nz[0])
-        if pr != c:
-            a[[c, pr]] = a[[pr, c]]
-            det = (-det) % p
-        piv = int(a[c, c])
+        missing = a[:, c, c] == 0
+        if missing.any():
+            below = c + (a[:, c:, c] != 0).argmax(axis=1)
+            added = a[np.arange(count), below] * missing[:, None]
+            a[:, c] = (a[:, c] + added) % p
+        piv = a[:, c, c]
         det = det * piv % p
-        rows = np.nonzero(a[c + 1 :, c])[0] + c + 1
-        if rows.size:
-            factors = a[rows, c] * pow(piv, -1, p) % p
-            a[rows] = (a[rows] - np.outer(factors, a[c])) % p
-    return det
+        if c + 1 < n:
+            inv = np.array([pow(x, -1, p) if x else 0 for x in piv.tolist()])
+            factors = a[:, c + 1 :, c, None] * inv[:, None, None] % p
+            rest = a[:, c + 1 :, c + 1 :] - factors * a[:, None, c, c + 1 :]
+            a[:, c + 1 :, c + 1 :] = rest % p
+    if not lead:
+        return int(det[0])
+    return det.reshape(lead)
 
 
 def gf_matpow(p: int, a: np.ndarray, e: int) -> np.ndarray:
@@ -158,9 +170,11 @@ def qq_eye(n: int) -> np.ndarray:
 
 
 def qq_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] == 0:
-        return qq_zeros(a.shape[0], b.shape[1])
-    return a.dot(b)
+    """Product of matrices or of stacks, leading axes broadcast as in matmul."""
+    if a.shape[-1] == 0:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.full(shape + (a.shape[-2], b.shape[-1]), Fraction(0), dtype=object)
+    return a @ b
 
 
 def qq_det(a: np.ndarray) -> Fraction:

@@ -10,6 +10,11 @@ slot tuples listing the projective summands of both sides.  Fresh objects use
 vertex-sorted slots; stabilization appends its new summands at the end, which
 is exactly what makes cv_value(stabilize(phi, gamma)) equal cv_value(phi) on
 the nose rather than up to sign.
+
+The matrix of Hom(phi, V) is built in one place, `hom_stack`, for a stack
+of pairs (phi, V) along a leading trial axis: the randomized support test
+evaluates all of its trials as one stack, and `hom_matrix` (behind
+`cv_value`) is the stack of one.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def canonical_proj_decomp(q: Quiver, a) -> ProjDecomp:
 
 
 @functools.lru_cache(maxsize=64)
-def _path_pairs(q: Quiver) -> tuple[tuple[int, int, tuple], ...]:
+def path_pairs(q: Quiver) -> tuple[tuple[int, int, tuple], ...]:
     """(u, v, paths u -> v) for each vertex pair joined by a path, in order."""
     return tuple(
         (u, v, q.paths(u, v))
@@ -159,7 +164,7 @@ class Presentation:
         self.gamma0 = slot_counts(quiver, self.slots0)
         self.gamma1 = slot_counts(quiver, self.slots1)
         filled: dict[tuple[int, int], tuple] = {}
-        for u, v, paths in _path_pairs(quiver):
+        for u, v, paths in path_pairs(quiver):
             shape = (self.gamma0[u], self.gamma1[v])
             given = blocks.get((u, v)) if blocks else None
             mats = []
@@ -219,7 +224,7 @@ def random_presentation(
         seed, "pres", q.names, q.arrows, decomp.gamma0, decomp.gamma1, field.name
     )
     g0, g1 = slot_counts(q, slots0), slot_counts(q, slots1)
-    pairs = _path_pairs(q)
+    pairs = path_pairs(q)
     mats = iter(field.rand_mats(
         rng, [(g0[u], g1[v]) for u, v, paths in pairs for _ in paths]
     ))
@@ -478,14 +483,6 @@ def cv_weight(v: Representation) -> CombinedWeight:
     return CombinedWeight(sigma=v.dim)
 
 
-def _path_map(v_rep: Representation, u: int, path) -> np.ndarray:
-    f = v_rep.field
-    cur = f.eye(v_rep.dim[u])
-    for k in path:
-        cur = f.mm(v_rep.mats[k], cur)
-    return cur
-
-
 def _vertex_grouped(slots: Slots, beta: DimVector) -> tuple[list[int], list | None]:
     """Lay out beta[v] rows per slot with each vertex's slots contiguous: the
     start of each vertex's group followed by the total, and the grouped
@@ -504,42 +501,64 @@ def _vertex_grouped(slots: Slots, beta: DimVector) -> tuple[list[int], list | No
     return starts, order
 
 
-def hom_matrix(phi: Presentation, v_rep: Representation) -> np.ndarray:
-    """The matrix of Hom(phi, V): rows over (slots1, V-basis), columns over
-    (slots0, V-basis); block for slots (s0 at u, s1 at v) is
-    sum_p phi_p[occ(s0), occ(s1)] * V_p.
+def hom_stack(
+    q: Quiver,
+    f: Field,
+    trials: int,
+    slots0: Slots,
+    slots1: Slots,
+    blocks: dict[tuple[int, int], tuple],
+    v_mats,
+    beta: DimVector,
+) -> np.ndarray:
+    """The matrices of Hom(phi, V) for `trials` pairs (phi, V) that share
+    their slots and dim V = beta, as one array (trials, rows, columns).
 
-    With each side's slots grouped by vertex, the blocks of the pair (u, v)
-    form the single rectangle sum_p kron(phi_p^t, V_p); one row and one
-    column permutation then restore the slot order."""
-    if phi.quiver != v_rep.quiver:
-        raise QuiverMismatchError("presentation and representation quiver differ")
-    if phi.field != v_rep.field:
-        raise FieldMismatchError(
-            f"fields differ: {phi.field.name} vs {v_rep.field.name}"
-        )
-    q, f = phi.quiver, phi.field
-    beta = v_rep.dim
-    row0, row_order = _vertex_grouped(phi.slots1, beta)
-    col0, col_order = _vertex_grouped(phi.slots0, beta)
-    h = f.zeros(row0[-1], col0[-1])
-    for (u, v), path_mats in phi.blocks.items():
+    `blocks` holds phi's path-coefficient blocks as in `Presentation.blocks`
+    and `v_mats` V's arrow matrices, each with a leading trial axis.  Rows
+    run over (slots1, V-basis), columns over (slots0, V-basis); the block for
+    slots (s0 at u, s1 at v) is sum_p phi_p[occ(s0), occ(s1)] * V_p.  With
+    each side's slots grouped by vertex, the blocks of the pair (u, v) form
+    the single rectangle sum_p kron(phi_p^t, V_p); one row and one column
+    permutation then restore the slot order."""
+    row0, row_order = _vertex_grouped(slots1, beta)
+    col0, col_order = _vertex_grouped(slots0, beta)
+    h = f.zeros(trials * row0[-1], col0[-1]).reshape(trials, row0[-1], col0[-1])
+    for (u, v), path_mats in blocks.items():
         if beta[u] == 0 or beta[v] == 0:
             continue
         acc = None
         for path, coeffs in zip(q.paths(u, v), path_mats):
             if f.is_zero(coeffs):
                 continue
-            term = f.kron(coeffs.T, _path_map(v_rep, u, path))
+            v_path = f.eye(beta[u])
+            for k in path:
+                v_path = f.mm(v_mats[k], v_path)
+            term = f.kron(coeffs.swapaxes(-1, -2), v_path)
             acc = term if acc is None else f.add(acc, term)
         if acc is not None:
-            r, c = acc.shape
-            h[row0[v] : row0[v] + r, col0[u] : col0[u] + c] = acc
+            r, c = acc.shape[-2:]
+            h[:, row0[v] : row0[v] + r, col0[u] : col0[u] + c] = acc
     if row_order is not None:
-        h = h[row_order]
+        h = h[:, row_order]
     if col_order is not None:
-        h = h[:, col_order]
+        h = h[:, :, col_order]
     return h
+
+
+def hom_matrix(phi: Presentation, v_rep: Representation) -> np.ndarray:
+    """The matrix of Hom(phi, V): `hom_stack` of the single pair."""
+    if phi.quiver != v_rep.quiver:
+        raise QuiverMismatchError("presentation and representation quiver differ")
+    if phi.field != v_rep.field:
+        raise FieldMismatchError(
+            f"fields differ: {phi.field.name} vs {v_rep.field.name}"
+        )
+    blocks = {key: tuple(m[None] for m in mats) for key, mats in phi.blocks.items()}
+    v_mats = [m[None] for m in v_rep.mats]
+    return hom_stack(
+        phi.quiver, phi.field, 1, phi.slots0, phi.slots1, blocks, v_mats, v_rep.dim
+    )[0]
 
 
 def cv_value(phi: Presentation, v_rep: Representation):

@@ -442,6 +442,28 @@ def test_cv_over_gf_golden_values(capsys, field, alpha, beta, value):
     assert out.splitlines()[0] == f"C_V sample value = {value}"
 
 
+def test_cv_with_a_million_trials_stacks_a_bounded_chunk(capsys, monkeypatch):
+    # trials are stacked a fixed-size chunk at a time, and a member stops at
+    # the first chunk with a nonzero determinant
+    from vsi import decomposition
+
+    chunks = []
+    real = decomposition.hom_stack
+
+    def recorded(*args):
+        h = real(*args)
+        chunks.append(h.shape[0])
+        return h
+
+    monkeypatch.setattr(decomposition, "hom_stack", recorded)
+    code, out, err = _run(
+        capsys, "--trials", "1000000", "cv", "--alpha=-1,-1,-2", "--beta", "0,1,2"
+    )
+    assert code == 0, err
+    assert "nonvanishing     = true (1000000 trials)" in out
+    assert chunks == [decomposition._TRIAL_CHUNK]
+
+
 def test_support_membership_needs_no_halfspaces(capsys, tmp_path, monkeypatch):
     # text output without --halfspaces answers from d_membership alone
     import vsi.cli

@@ -157,23 +157,65 @@ def test_supp_test_short_circuits(ex_quiver, gf):
     assert not supp_test_randomized(ex_quiver, (1, 1, 1), (0, 1, 2), gf)
 
 
-def test_supp_test_agrees_with_membership_on_small_grid(ex_quiver, gf):
+def test_supp_test_agrees_with_membership_on_small_grid(ex_quiver):
     beta = (0, 1, 2)
-    for a1 in range(-2, 3):
-        for a2 in range(-2, 3):
-            for a3 in range(-2, 3):
-                a = (a1, a2, a3)
-                want = d_membership(ex_quiver, a, beta, gf)
-                got = supp_test_randomized(ex_quiver, a, beta, gf, trials=5)
-                if got != want:
-                    got = any(
-                        supp_test_randomized(
-                            ex_quiver, a, beta, gf, seed=s, trials=5
-                        )
-                        == want
-                        for s in (1, 2, 3)
-                    )
-                    assert got, (a, want)
+    for field in (parse_field("fp:32003"), parse_field("q")):
+        for a in itertools.product(range(-2, 3), repeat=3):
+            want = d_membership(ex_quiver, a, beta, field)
+            got = supp_test_randomized(ex_quiver, a, beta, field, trials=5)
+            if got != want:
+                got = any(
+                    supp_test_randomized(ex_quiver, a, beta, field, seed=s, trials=5)
+                    == want
+                    for s in (1, 2, 3)
+                )
+                assert got, (field.name, a, want)
+
+
+def test_supp_test_draws_once_and_builds_no_samples(ex_quiver, gf, monkeypatch):
+    # all trials come from one generator and one stacked Hom matrix; no
+    # presentation or representation object is built per trial
+    import vsi.fields
+    import vsi.presentations
+    import vsi.reps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("supp_test_randomized built a per-trial sample")
+
+    for module in (decomposition, vsi.presentations, vsi.reps):
+        for name in ("random_presentation", "random_rep"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    draws = []
+    real = vsi.fields.derive_rng
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    for module in (vsi.fields, decomposition, vsi.presentations, vsi.reps):
+        monkeypatch.setattr(module, "derive_rng", counted)
+    stacks = []
+    real_stack = decomposition.hom_stack
+
+    def recorded(*args):
+        h = real_stack(*args)
+        stacks.append(h.shape)
+        return h
+
+    monkeypatch.setattr(decomposition, "hom_stack", recorded)
+    cases = [
+        ((-1, -1, -2), (0, 1, 2), True),  # a member: nonzero at once
+        ((1, -1, -1), (0, 1, 2), False),  # <a, b> = 0 but not a member
+        ((0, 1, 0), (1, 0, 0), True),  # Hom(phi, V) is 0x0: det 1
+    ]
+    for a, b, want in cases:
+        assert euler_form(ex_quiver, a, b) == 0
+        del draws[:], stacks[:]
+        assert supp_test_randomized(ex_quiver, a, b, gf, seed=3, trials=5) is want
+        assert len(draws) == 1
+        assert len(stacks) == 1 and stacks[0][0] == 5
+    assert stacks[0][1:] == (0, 0)
 
 
 def test_cached_generic_ext_is_deterministic(ex_quiver, gf):

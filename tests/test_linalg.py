@@ -23,6 +23,7 @@ from vsi.linalg import (
     leading_minors,
     poly_mul,
     qq_charpoly,
+    qq_det,
     qq_mat,
     qq_poly_factors,
     qq_rref,
@@ -234,6 +235,61 @@ def test_gf_det_and_inverse_consistency():
             # det matches the Leibniz oracle reduced mod P
             oracle = _permanent_style_det(a.tolist())
             assert d == int(oracle) % P
+
+
+def _singular_stack(rng, p, t, n):
+    """A seeded (t, n, n) stack over GF(p) with singular slices mixed in: a
+    zero first column (slice 0), a repeated row (slice 2, for n > 1), a
+    product of rank below n mod p (slice 4), and zero-heavy odd slices that
+    need row additions to find their pivots."""
+    stack = rng.integers(0, p, size=(t, n, n))
+    stack[1::2] *= rng.integers(0, 2, size=(len(stack[1::2]), n, n))
+    if n:
+        stack[0, :, 0] = 0
+        stack[2, -1] = stack[2, 0]
+        left = rng.integers(0, p, size=(n, n - 1))
+        stack[4] = gf_mm(p, left, rng.integers(0, p, size=(n - 1, n)))
+    return stack
+
+
+@pytest.mark.parametrize("p", [P, 2**31 - 1])
+def test_stacked_gf_det_equals_the_matrix_det_slice_by_slice(p):
+    rng = np.random.default_rng(11)
+    for n in range(13):
+        stack = _singular_stack(rng, p, 7, n)
+        dets = gf_det(p, stack)
+        assert dets.shape == (7,) and dets.dtype == np.int64
+        for a, d in zip(stack, dets):
+            one = gf_det(p, a)
+            assert type(one) is int and one == d
+            assert d == int_bareiss_det(a.tolist()) % p
+        if n:
+            assert dets[0] == dets[4] == 0
+        if n > 1:
+            assert dets[2] == 0
+        # any leading shape, and a stack of no matrices
+        assert (gf_det(p, stack.reshape(7, 1, n, n)) == dets[:, None]).all()
+    assert gf_det(p, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+
+
+def test_stacked_qq_det_equals_qq_det_slice_by_slice():
+    rng = np.random.default_rng(12)
+    for n in range(7):
+        # rows scaled by -1/2, 1/3, ...: singular slices stay singular
+        stack = [
+            [[Fraction(int(x) * (-1) ** i, 1 + i % 3) for x in row]
+             for i, row in enumerate(a)]
+            for a in _singular_stack(rng, 19, 5, n)
+        ]
+        mats = [qq_mat(rows) if n else QQ.zeros(0, 0) for rows in stack]
+        dets = QQ.det(np.stack(mats))
+        assert dets.shape == (5,) and dets.dtype == object
+        for a, d in zip(mats, dets):
+            assert type(d) is Fraction and d == qq_det(a)
+        if n:
+            assert dets[0] == 0
+        if n > 1:
+            assert dets[2] == 0
 
 
 def test_gf_charpoly_satisfies_cayley_hamilton():

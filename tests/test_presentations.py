@@ -41,7 +41,7 @@ from vsi import (
     zero_rep,
     zeta,
 )
-from vsi.presentations import sorted_slots
+from vsi.presentations import hom_stack, sorted_slots
 from vsi.quiver import apply_int_matrix, check_dim_vector
 
 
@@ -458,6 +458,37 @@ def test_hom_matrix_equals_the_entrywise_reference(label, field_name):
         cases.append((random_presentation(dec, field, mix_seed(49, alpha)), ones))
     for phi, v in cases:
         _assert_same_matrix(hom_matrix(phi, v), _reference_hom_matrix(phi, v))
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("label", sorted(QUIVERS))
+def test_hom_stack_equals_hom_matrix_pair_by_pair(label, field_name):
+    # pairs sharing their slots and dim V, stacked along a trial axis
+    q, field = QUIVERS[label], parse_field(field_name)
+    rng = derive_rng(51, "hom-stack", label, field_name)
+    for t in range(3):
+        alpha = tuple(int(x) for x in rng.integers(-2, 3, size=q.n))
+        beta = tuple(int(x) for x in rng.integers(0, 3, size=q.n))
+        dec = minimal_decomp(q, alpha)
+        slots = [
+            tuple(int(s) for s in rng.permutation(sorted_slots(q, gamma)))
+            for gamma in (dec.gamma0, dec.gamma1)
+        ]
+        pairs = [
+            (
+                random_presentation(dec, field, mix_seed(51, t, k), *slots),
+                random_rep(q, beta, field, mix_seed(51, t, k, "V")),
+            )
+            for k in range(4)
+        ]
+        blocks = {
+            key: tuple(np.stack(m) for m in zip(*(phi.blocks[key] for phi, _ in pairs)))
+            for key in pairs[0][0].blocks
+        }
+        v_mats = [np.stack(m) for m in zip(*(v.mats for _, v in pairs))]
+        h = hom_stack(q, field, 4, *slots, blocks, v_mats, beta)
+        for k, (phi, v) in enumerate(pairs):
+            _assert_same_matrix(h[k], hom_matrix(phi, v))
 
 
 def _reference_draws(field, rng, shapes):
