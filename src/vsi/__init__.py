@@ -11,7 +11,6 @@ from .cluster import (
     TiltingComplex,
     build_complex,
     compatible,
-    complex_from_json,
     complex_to_json,
     complex_vertices,
     export_complex,
@@ -71,7 +70,6 @@ from .fields import (
     prime_field,
 )
 from .presentations import (
-    CombinedWeight,
     Presentation,
     ProjDecomp,
     apply_action,
@@ -82,12 +80,9 @@ from .presentations import (
     cokernel,
     compose,
     cv_value,
-    cv_weight,
     hom_matrix,
     identity_presentation,
     minimal_decomp,
-    presentation_from_json,
-    presentation_to_json,
     random_aut,
     random_presentation,
     stabilize,
@@ -105,7 +100,6 @@ from .quiver import (
     load_quiver,
     path_count,
     proj_vector,
-    quiver_to_json,
     symmetrized_euler,
     tau,
     tau_inverse,
@@ -125,8 +119,6 @@ from .reps import (
     hom_space,
     random_glpoint,
     random_rep,
-    rep_from_json,
-    rep_to_json,
     zero_rep,
 )
 

@@ -42,7 +42,6 @@ from .presentations import (
     canonical_decomp,
     canonical_proj_decomp,
     cv_value,
-    cv_weight,
     minimal_decomp,
     random_presentation,
 )
@@ -183,11 +182,10 @@ def _cmd_cv(args) -> int:
     nonzero = supp_test_randomized(
         q, alpha, beta, field, seed=args.seed, trials=args.trials
     )
-    weight = cv_weight(v).sigma
     lines = [
         f"C_V sample value = {field.elem_to_str(value)}",
         f"nonvanishing     = {str(nonzero).lower()} ({args.trials} trials)",
-        f"weight           = {_fmt_vec(weight)}",
+        f"weight           = {_fmt_vec(beta)}",
     ]
     _emit(
         args,
@@ -195,7 +193,7 @@ def _cmd_cv(args) -> int:
             "value": field.elem_to_str(value),
             "nonvanishing": nonzero,
             "trials": args.trials,
-            "weight": list(weight),
+            "weight": list(beta),
         },
         lines,
     )

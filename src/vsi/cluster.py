@@ -33,7 +33,6 @@ from .errors import (
     InvariantViolationError,
     NotASimplexError,
     NotDynkinError,
-    ParseError,
     UnsupportedDimensionError,
     VsiError,
     ZeroCoefficientsError,
@@ -215,17 +214,14 @@ def _fan(q: Quiver) -> tuple[tuple[ComplexVertex, ...], np.ndarray]:
 _INT64_BOUND = 2**20
 
 
-def _assemble(q, seed, verts, facets, error) -> TiltingComplex:
-    """The complex on these facets, with its certified facet inverse table.
+def _facet_inverses(n: int, verts, facets) -> np.ndarray:
+    """The certified integer inverse of each facet's lambda matrix.
 
-    Two vertices are compatible iff they share a facet.  One batched float
-    inverse of the facet lambda matrices L, rounded, is kept only where the
-    int64 product L @ M equals the identity; an integer inverse exists exactly
-    when |det L| = 1, so any other facet raises `error`.
+    One batched float inverse of the facet lambda matrices L, rounded, is
+    kept only where the int64 product L @ M equals the identity; an integer
+    inverse exists exactly when |det L| = 1, so any other facet raises
+    InvariantViolationError.
     """
-    n, nv = q.n, len(verts)
-    if any(abs(x) > _INT64_BOUND for v in verts for x in v.vector):
-        raise error(f"lambda vector entries exceed {_INT64_BOUND}")
     lam = np.array([v.lam for v in verts], dtype=np.int64).reshape(-1, n)
     mats = lam[np.array(facets, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1)
     approx = mats.astype(float)
@@ -239,15 +235,10 @@ def _assemble(q, seed, verts, facets, error) -> TiltingComplex:
     certified = (mats @ inverses == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
     if not certified.all():
         bad = facets[int(np.argmin(certified))]
-        raise error(f"facet {tuple(bad)} has a lambda matrix with |det| != 1")
-    shared: list[set[int]] = [set() for _ in range(nv)]
-    for facet in facets:
-        for i in facet:
-            shared[i].update(facet)
-    compat = tuple(
-        tuple(i != j and j in shared[i] for j in range(nv)) for i in range(nv)
-    )
-    return TiltingComplex(q, seed, tuple(verts), tuple(facets), compat, inverses)
+        raise InvariantViolationError(
+            f"facet {tuple(bad)} has a lambda matrix with |det| != 1"
+        )
+    return inverses
 
 
 def build_complex(q: Quiver, field: Field | None, seed: int = 0) -> TiltingComplex:
@@ -266,7 +257,14 @@ def build_complex(q: Quiver, field: Field | None, seed: int = 0) -> TiltingCompl
             raise InvariantViolationError(
                 f"maximal clique {facet} has size {len(facet)}, not {q.n}"
             )
-    return _assemble(q, seed, verts, facets, InvariantViolationError)
+    return TiltingComplex(
+        q,
+        seed,
+        verts,
+        tuple(facets),
+        tuple(map(tuple, compat.tolist())),
+        _facet_inverses(q.n, verts, facets),
+    )
 
 
 def _coordinates(inverses: np.ndarray, x: DimVector) -> np.ndarray:
@@ -555,7 +553,7 @@ def linear_type_a_facet_count(n: int) -> int:
 # ------------------------------------------------------------------- export
 
 
-def complex_to_json(c: TiltingComplex, walls: bool = True) -> str:
+def complex_to_json(c: TiltingComplex) -> str:
     q = c.quiver
     data = {
         "schema": 1,
@@ -568,49 +566,12 @@ def complex_to_json(c: TiltingComplex, walls: bool = True) -> str:
             for v in c.vertices
         ],
         "facets": [list(f) for f in c.facets],
-    }
-    if walls:
-        data["walls"] = [
+        "walls": [
             {"ridge": list(ridge), "labels": [list(b) for b in labels]}
             for ridge, labels in wall_labels(c).items()
-        ]
+        ],
+    }
     return json.dumps(data, indent=2)
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    # int() would truncate a float silently; bool is an int subclass
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ParseError(f"expected a list of integers, got {value!r}")
-    return tuple(value)
-
-
-def complex_from_json(q: Quiver, text: str) -> TiltingComplex:
-    """Read `complex_to_json` output: vertices of kind root, or shifted with a
-    quiver vertex, with integer vectors, and facets of n vertices whose lambda
-    vectors form a Z-basis.  Anything else is a ParseError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad complex JSON: {exc}") from None
-    if not isinstance(data, dict) or not all(
-        isinstance(data.get(k), list) for k in ("vertices", "facets")
-    ):
-        raise ParseError("complex JSON needs 'vertices' and 'facets' lists")
-    verts = []
-    for entry in data["vertices"]:
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        vertex = entry.get("vertex") if kind == "shifted" else None
-        if kind not in ("root", "shifted") or kind == "shifted" and vertex is None:
-            raise ParseError(f"vertex {entry!r}: kind root, or shifted and a vertex")
-        index = None if vertex is None else q.index(vertex)
-        verts.append(ComplexVertex(kind, _int_tuple(entry.get("vector")), index))
-    facets = tuple(_int_tuple(f) for f in data["facets"])
-    nv = len(verts)
-    if any(len(v.vector) != q.n for v in verts) or any(
-        len(set(f)) != q.n or not set(f) <= set(range(nv)) for f in facets
-    ):
-        raise ParseError(f"complex JSON needs {q.n}-vectors and {q.n}-vertex facets")
-    return _assemble(q, 0, verts, facets, ParseError)
 
 
 def export_complex(c: TiltingComplex, fmt: str) -> str:
@@ -666,7 +627,10 @@ def truncated_compatibility(
 ) -> dict:
     """Exploratory mode for non-Dynkin quivers: Schur roots with entries up to
     `bound`, shifted projectives, and their compatibility graph.  No sphere or
-    facet-size guarantees are made; cliques are reported as found."""
+    facet-size guarantees are made; cliques are reported as found.  A
+    negative bound is a VsiError."""
+    if bound < 0:
+        raise VsiError(f"truncation bound must be >= 0, got {bound}")
     candidates = [
         a
         for a in itertools.product(range(bound + 1), repeat=q.n)

@@ -43,9 +43,9 @@ class Field:
     Q.  The scalar and elementwise matrix operations are derived here from
     `canon` and `_reduce`; rank, kernel, column space, inverse and matrix
     power from `rref` and `mm`.  Subclasses supply only what differs: scalar
-    inverse and power, parsing, flat random draws, `zeros`/`eye`/`mm`, and the
-    dispatch of `rref`, `det`, `charpoly` and `poly_factors` to the named
-    kernels of `vsi.linalg`.
+    power, flat random draws, `zeros`/`eye`/`mm`, and the dispatch of `rref`,
+    `det`, `charpoly` and `poly_factors` to the named kernels of
+    `vsi.linalg`.
     """
 
     name: str
@@ -107,15 +107,6 @@ class Field:
 
     def poly_mul(self, f, g):
         return linalg.poly_mul(self.char, f, g)
-
-    def mat_to_str(self, a: np.ndarray) -> list[list[str]]:
-        return [[self.elem_to_str(x) for x in row] for row in a]
-
-    def mat_from_str(self, rows: list[list[str]], ncols: int) -> np.ndarray:
-        parsed = [[self.elem_from_str(x) for x in row] for row in rows]
-        if any(len(row) != ncols for row in parsed):
-            raise ParseError("ragged matrix rows")
-        return self.mat_of(len(parsed), ncols, parsed)
 
     def mat_of(self, m: int, n: int, rows) -> np.ndarray:
         a = self.zeros(m, n)
@@ -237,17 +228,8 @@ class PrimeField(Field):
     def canon(self, x) -> int:
         return int(x) % self.p
 
-    def s_inv(self, a):
-        return pow(int(a), -1, self.p)
-
     def s_pow(self, a, e: int):
         return pow(int(a), e, self.p)
-
-    def elem_from_str(self, s: str) -> int:
-        try:
-            return int(s) % self.p
-        except ValueError as exc:
-            raise ParseError(f"bad field element {s!r}") from exc
 
     def rand_elem(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.p))
@@ -295,17 +277,8 @@ class Rationals(Field):
     def canon(self, x) -> Fraction:
         return Fraction(x)
 
-    def s_inv(self, a):
-        return Fraction(1) / Fraction(a)
-
     def s_pow(self, a, e: int):
         return Fraction(a) ** e
-
-    def elem_from_str(self, s: str) -> Fraction:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad field element {s!r}") from exc
 
     def rand_elem(self, rng: np.random.Generator) -> Fraction:
         return Fraction(int(rng.integers(-_RAND_INT_BOUND, _RAND_INT_BOUND + 1)))

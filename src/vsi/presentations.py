@@ -29,9 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
-    NegativeDimensionError,
     NonSquareWeightError,
-    ParseError,
     QuiverMismatchError,
 )
 from .fields import Field, derive_rng
@@ -474,15 +472,6 @@ def cokernel(phi: Presentation) -> Representation:
 # ------------------------------------------------------------ semi-invariants
 
 
-@dataclass(frozen=True)
-class CombinedWeight:
-    sigma: DimVector
-
-
-def cv_weight(v: Representation) -> CombinedWeight:
-    return CombinedWeight(sigma=v.dim)
-
-
 def _vertex_grouped(slots: Slots, beta: DimVector) -> tuple[list[int], list | None]:
     """Lay out beta[v] rows per slot with each vertex's slots contiguous: the
     start of each vertex's group followed by the total, and the grouped
@@ -571,58 +560,3 @@ def cv_value(phi: Presentation, v_rep: Representation):
         )
     return phi.field.det(h)
 
-
-# ---------------------------------------------------------------- JSON I/O
-
-
-def presentation_to_json(phi: Presentation) -> str:
-    import json
-
-    f = phi.field
-    blocks = {}
-    for (u, v), mats in phi.blocks.items():
-        for i, mat in enumerate(mats):
-            if not f.is_zero(mat):
-                blocks[f"{u},{v},{i}"] = f.mat_to_str(mat)
-    return json.dumps(
-        {
-            "gamma0": list(phi.gamma0),
-            "gamma1": list(phi.gamma1),
-            "slots0": list(phi.slots0),
-            "slots1": list(phi.slots1),
-            "blocks": blocks,
-        }
-    )
-
-
-def presentation_from_json(q: Quiver, field: Field, text: str) -> Presentation:
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad presentation JSON: {exc}") from None
-    if not isinstance(data, dict) or "blocks" not in data:
-        raise ParseError("presentation JSON needs 'blocks'")
-    if "slots0" in data:
-        slots0 = tuple(int(x) for x in data["slots0"])
-        slots1 = tuple(int(x) for x in data["slots1"])
-    else:
-        slots0 = sorted_slots(q, data["gamma0"])
-        slots1 = sorted_slots(q, data["gamma1"])
-    g0, g1 = slot_counts(q, slots0), slot_counts(q, slots1)
-    blocks: dict[tuple[int, int], list] = {}
-    for key, rows in data["blocks"].items():
-        try:
-            u, v, i = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ParseError(f"bad block key {key!r}") from None
-        paths = q.paths(u, v)
-        if i >= len(paths):
-            raise ParseError(f"block key {key!r}: no such path")
-        mats = blocks.setdefault((u, v), [None] * len(paths))
-        mats[i] = field.mat_from_str(rows, g1[v])
-        if mats[i].shape != (g0[u], g1[v]):
-            raise ParseError(f"block {key!r} has wrong shape")
-    packed = {key: tuple(mats) for key, mats in blocks.items()}
-    return Presentation(q, field, slots0, slots1, packed)

@@ -149,8 +149,10 @@ def load_quiver(text: str) -> Quiver:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad quiver JSON: {exc}") from None
-        if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
-            raise ParseError("quiver JSON needs 'vertices' and 'arrows'")
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(k), list) for k in ("vertices", "arrows")
+        ):
+            raise ParseError("quiver JSON needs 'vertices' and 'arrows' lists")
         arrows = []
         for entry in data["arrows"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -174,15 +176,6 @@ def load_quiver(text: str) -> Quiver:
                 vertices.append(nm)
         arrows.append((t, h))
     return Quiver(vertices, arrows)
-
-
-def quiver_to_json(q: Quiver) -> str:
-    return json.dumps(
-        {
-            "vertices": list(q.names),
-            "arrows": [[q.names[t], q.names[h]] for t, h in q.arrows],
-        }
-    )
 
 
 @dataclass(frozen=True)

@@ -439,41 +439,3 @@ def _fitting(
         f"no splitting endomorphism found for dim {m.dim} in {max_retries} tries"
     )
 
-
-# ---------------------------------------------------------------- JSON I/O
-
-
-def rep_to_json(m: Representation) -> str:
-    import json
-
-    f = m.field
-    return json.dumps(
-        {
-            "dim": list(m.dim),
-            "mats": {str(k): f.mat_to_str(m.mats[k]) for k in range(len(m.mats))},
-        }
-    )
-
-
-def rep_from_json(q: Quiver, field: Field, text: str) -> Representation:
-    import json
-
-    from .errors import ParseError
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad representation JSON: {exc}") from None
-    if not isinstance(data, dict) or "dim" not in data or "mats" not in data:
-        raise ParseError("representation JSON needs 'dim' and 'mats'")
-    dim = check_nonneg(q, data["dim"])
-    mats = []
-    for k, (t, h) in enumerate(q.arrows):
-        rows = data["mats"].get(str(k))
-        if rows is None:
-            mats.append(field.zeros(dim[h], dim[t]))
-            continue
-        if len(rows) != dim[h]:
-            raise ParseError(f"arrow {k}: {len(rows)} rows, expected {dim[h]}")
-        mats.append(field.mat_from_str(rows, dim[t]))
-    return Representation(q, field, dim, tuple(mats))

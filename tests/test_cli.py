@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vsi
+from vsi import build_complex, load_quiver, wall_labels
 from vsi.cli import main
 
 
@@ -103,6 +104,29 @@ def test_complex_subcommands(capsys, tmp_path):
     )
     assert code == 0
     assert out.startswith("v ")
+
+
+def test_complex_export_json_matches_the_built_complex(capsys, tmp_path):
+    path = tmp_path / "a3.quiver"
+    path.write_text("a -> b\nc -> b\n", encoding="utf-8")
+    code, out, _ = _run(
+        capsys, "--quiver", str(path), "complex", "export", "--export-format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    q = load_quiver(path.read_text(encoding="utf-8"))
+    c = build_complex(q, None)
+    assert data["schema"] == 1
+    assert [v["kind"] for v in data["vertices"]] == ["root"] * 6 + ["shifted"] * 3
+    assert [v["vertex"] for v in data["vertices"]] == [None] * 6 + list(q.names)
+    assert [tuple(v["vector"]) for v in data["vertices"]] == [
+        v.vector for v in c.vertices
+    ]
+    assert [tuple(f) for f in data["facets"]] == list(c.facets)
+    walls = {
+        tuple(w["ridge"]): tuple(tuple(b) for b in w["labels"]) for w in data["walls"]
+    }
+    assert walls == wall_labels(c)
 
 
 @pytest.mark.parametrize("field", ["fp:2", "fp:3"])
@@ -256,6 +280,29 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     # nonsquare weight for cv
     code, _, err = _run(capsys, "cv", "--alpha", "1,2,-3", "--beta", "0,1,2")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": "12", "arrows": [["1", "2"]]}',
+        '{"vertices": "10", "arrows": []}',
+        '{"vertices": ["1", "2"], "arrows": "12"}',
+    ],
+    ids=["vertices-string", "vertices-digits", "arrows-string"],
+)
+def test_quiver_json_without_lists_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.quiver"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "--quiver", str(path), "euler")
+    assert code == 1 and not out
+    assert "'vertices' and 'arrows' lists" in err
+
+
+def test_complex_truncate_refuses_a_negative_bound(capsys):
+    code, out, err = _run(capsys, "complex", "truncate", "--bound", "-1")
+    assert code == 1 and not out
+    assert "bound must be >= 0" in err
 
 
 def test_bad_field_spec_exits_one(capsys):

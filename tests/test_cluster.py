@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vsi import (
+    InvariantViolationError,
     NotASimplexError,
     NotDynkinError,
-    ParseError,
     Quiver,
     UnsupportedDimensionError,
     VsiError,
@@ -20,8 +22,6 @@ from vsi import (
     cached_generic_ext,
     canonical_decomp,
     compatible,
-    complex_from_json,
-    complex_to_json,
     complex_vertices,
     derive_rng,
     euler_form,
@@ -228,9 +228,12 @@ def test_face_counts_match_the_subset_definition(
             c.facets, q.n
         ), q.arrows
     # a facet listed twice is still one face of each size
-    data = json.loads(complex_to_json(build_complex(a3, gf), walls=False))
-    data["facets"].append(data["facets"][0])
-    c = complex_from_json(a3, json.dumps(data))
+    c = build_complex(a3, gf)
+    c = dataclasses.replace(
+        c,
+        facets=c.facets + c.facets[:1],
+        inverses=np.concatenate([c.inverses, c.inverses[:1]]),
+    )
     assert verify_sphere(c, samples=0).face_counts == by_definition(c.facets, 3)
 
 
@@ -431,55 +434,27 @@ def test_facet_coordinates_scale_exactly(a3, d4, gf):
             locate(c, [big] + [0] * (q.n - 1))
 
 
-def test_complex_json_round_trip(a3, gf):
+def test_facet_certificate_refuses_non_unimodular_facets(a3, gf):
     c = build_complex(a3, gf)
-    blob = complex_to_json(c)
-    data = json.loads(blob)
-    assert data["schema"] == 1
-    back = complex_from_json(a3, blob)
-    assert back.facets == c.facets
-    assert [v.vector for v in back.vertices] == [v.vector for v in c.vertices]
-    assert back.ridges() == c.ridges()
-    assert (back.inverses == c.inverses).all()
-
-
-def test_complex_json_refuses_non_unimodular_facets(a3, gf):
-    data = json.loads(complex_to_json(build_complex(a3, gf), walls=False))
-    facet = data["facets"][0]
+    verts = list(c.vertices)
+    facet = c.facets[0]
+    assert (cluster._facet_inverses(3, verts, [facet]) == c.inverses[:1]).all()
     # doubling one vertex gives |det| = 2, and repeating a vector gives 0
-    doubled = json.loads(json.dumps(data))
-    doubled["vertices"][facet[0]]["vector"] = [
-        2 * x for x in doubled["vertices"][facet[0]]["vector"]
-    ]
-    singular = json.loads(json.dumps(data))
-    singular["vertices"][facet[1]] = singular["vertices"][facet[0]]
+    v = verts[facet[0]]
+    doubled = verts.copy()
+    doubled[facet[0]] = dataclasses.replace(v, vector=tuple(2 * x for x in v.vector))
+    singular = verts.copy()
+    singular[facet[1]] = v
     for bad in (doubled, singular):
-        with pytest.raises(ParseError, match="det"):
-            complex_from_json(a3, json.dumps(bad))
-    with pytest.raises(ParseError):
-        short = json.loads(json.dumps(data))
-        short["facets"][0] = facet[:2]
-        complex_from_json(a3, json.dumps(short))
+        with pytest.raises(InvariantViolationError, match="det"):
+            cluster._facet_inverses(3, bad, [facet])
 
 
-@pytest.mark.parametrize(
-    "vertex",
-    [
-        {"vector": [1, 0]},
-        {"kind": "projective", "vector": [1, 0]},
-        {"kind": "shifted", "vector": [1, 1]},
-        {"kind": "root", "vector": [1, "0"]},
-        {"kind": "root", "vector": [1, 0.5]},
-    ],
-    ids=["no-kind", "unknown-kind", "shifted-without-vertex", "string", "float"],
-)
-def test_complex_json_refuses_malformed_vertices(a2, vertex):
-    with pytest.raises(ParseError):
-        complex_from_json(a2, json.dumps({"vertices": [vertex], "facets": []}))
-
-
-def test_verify_sphere_refuses_an_empty_complex(a2):
-    c = complex_from_json(a2, '{"vertices": [], "facets": []}')
+def test_verify_sphere_refuses_an_empty_complex(a2, gf):
+    c = build_complex(a2, gf)
+    c = dataclasses.replace(
+        c, vertices=(), facets=(), compat=(), inverses=c.inverses[:0]
+    )
     report = verify_sphere(c, samples=0)
     assert not report.ok
     assert "no facets" in report.failures

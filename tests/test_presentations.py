@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from vsi import (
     cokernel,
     compose,
     cv_value,
-    cv_weight,
     derive_rng,
     direct_sum,
     end_dim,
@@ -31,8 +28,6 @@ from vsi import (
     mix_seed,
     parse_field,
     path_count,
-    presentation_from_json,
-    presentation_to_json,
     proj_vector,
     random_aut,
     random_presentation,
@@ -205,14 +200,6 @@ def test_cv_value_rejects_nonsquare_weight(a2, gf):
         cv_value(phi, v)
 
 
-def test_cv_weight_values(a2, gf):
-    s2 = Representation(a2, gf, (0, 1), [gf.zeros(1, 0)])
-    assert cv_weight(s2).sigma == (0, 1)
-    assert cv_weight(zero_rep(a2, gf)).sigma == (0, 0)
-    v = random_rep(a2, (2, 1), gf, seed=10)
-    assert cv_weight(direct_sum(s2, v)).sigma == (2, 2)
-
-
 def test_semi_invariance_under_automorphism_action(ex_quiver, gf, qq):
     q = ex_quiver
     alpha, beta = (-1, -1, -2), (0, 1, 2)
@@ -355,22 +342,6 @@ def test_zeta_pullback_transforms_with_euler_shifted_character(ex_quiver, gf):
             scale = gf.s_mul(scale, gf.s_pow(gf.det(g[vtx]), sigma[vtx]))
         lhs = cv_value(zeta(conjugate_rep(m, g)), v)
         assert lhs == gf.s_mul(scale, cv_value(zeta(m), v))
-
-
-def test_presentation_json_round_trip(ex_quiver, gf, qq):
-    q = ex_quiver
-    for field in (gf, qq):
-        phi = random_presentation(minimal_decomp(q, (1, 2, -3)), field, seed=27)
-        blob = presentation_to_json(phi)
-        data = json.loads(blob)
-        assert set(data) >= {"slots0", "slots1", "blocks"}
-        back = presentation_from_json(q, field, blob)
-        assert back.slots0 == phi.slots0
-        assert back.slots1 == phi.slots1
-        assert back.blocks.keys() == phi.blocks.keys()
-        for key in phi.blocks:
-            for a, b in zip(phi.blocks[key], back.blocks[key]):
-                assert field.eq(a, b)
 
 
 # ------------------------------------------------- hom_matrix and seeded draws

@@ -26,8 +26,6 @@ from vsi import (
     mix_seed,
     random_glpoint,
     random_rep,
-    rep_from_json,
-    rep_to_json,
     zero_rep,
 )
 from vsi import reps
@@ -196,14 +194,6 @@ def test_random_rep_is_deterministic_per_seed(ex_quiver, gf):
     c = random_rep(ex_quiver, (2, 1, 2), gf, seed=34)
     assert all(gf.eq(x, y) for x, y in zip(a.mats, b.mats))
     assert not all(gf.eq(x, y) for x, y in zip(a.mats, c.mats))
-
-
-def test_rep_json_round_trip(ex_quiver, gf, qq):
-    for field in (gf, qq):
-        m = random_rep(ex_quiver, (1, 2, 2), field, seed=8)
-        back = rep_from_json(ex_quiver, field, rep_to_json(m))
-        assert back.dim == m.dim
-        assert all(field.eq(x, y) for x, y in zip(m.mats, back.mats))
 
 
 def test_conjugate_rep_rejects_singular_matrices(a2, gf):
