@@ -1,7 +1,7 @@
 """Semi-invariants of quiver representations.
 
-Euler forms and projective presentations, generic decompositions via Fitting
-splitting, determinantal semi-invariants C_V, the support cones D(beta), and
+Euler forms and projective presentations, generic decompositions by rank-2
+reduction, determinantal semi-invariants C_V, the support cones D(beta), and
 simplicial complexes of compatible roots realizing spheres for Dynkin quivers.
 """
 
@@ -38,7 +38,6 @@ from .decomposition import (
     supp_test_randomized,
 )
 from .errors import (
-    DecompositionUnstableError,
     DimensionMismatchError,
     EmptyLabelError,
     FieldMismatchError,

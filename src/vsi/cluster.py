@@ -10,8 +10,8 @@ positive roots whose support cone D(beta) contains them.
 The face cones partition R^n and each facet's lambda vectors form a Z-basis,
 so one certified table of integer facet inverses answers every cone question
 exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering test.
-`walk_locate` finds the facet cone of a vector without listing the facets;
-the decomposition module asks it every Dynkin decomposition and generic ext.
+`walk_locate` finds the facet cone of a vector without listing the facets,
+an oracle for the rank-2 reduction that `generic_decomposition` runs.
 """
 
 from __future__ import annotations
@@ -309,7 +309,9 @@ def walk_locate(q: Quiver, x) -> GenericDecomposition:
     and the one other vertex compatible with that ridge replaces it, a
     unimodular flip.  A line crosses each wall hyperplane <., beta> = 0 once,
     so there is at most one flip per positive root.  If the segment meets a
-    face of codimension 2, p moves along the moment curve."""
+    face of codimension 2, p moves along the moment curve.  It reads the
+    generic decomposition off the complex, independently of
+    `generic_decomposition`, which equals it on every Dynkin quiver."""
     return _walk(q, check_dim_vector(q, x))
 
 
@@ -627,15 +629,16 @@ def truncated_compatibility(
 ) -> dict:
     """Exploratory mode for non-Dynkin quivers: Schur roots with entries up to
     `bound`, shifted projectives, and their compatibility graph.  No sphere or
-    facet-size guarantees are made; cliques are reported as found.  A
-    negative bound is a VsiError."""
+    facet-size guarantees are made; cliques are reported as found.  The
+    answer does not depend on `field` or `seed`.  A negative bound is a
+    VsiError."""
     if bound < 0:
         raise VsiError(f"truncation bound must be >= 0, got {bound}")
     candidates = [
         a
         for a in itertools.product(range(bound + 1), repeat=q.n)
         if any(a)
-        and is_schur_root(q, a, field, seed=mix_seed(seed, "trunc", a), trials=3)
+        and is_schur_root(q, a, field)
     ]
     verts = tuple(
         ComplexVertex(kind="root", vector=a) for a in candidates

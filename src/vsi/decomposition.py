@@ -1,24 +1,21 @@
 """Generic decomposition of virtual dimension vectors and D(beta) supports.
 
 Generic answers do not depend on the field, as Schofield's criteria hold in
-every characteristic.  On a Dynkin quiver they are closed-form, read off the
-facet cone of the tilting complex that holds the vector.  Elsewhere the
-canonical pair (mu, gamma) is split off first, and mu lives on the full
-subquiver on its support, a direct sum of connected components with no ext
-between them.  A Dynkin component (a single vertex included) is read off its
-own facet cone, and a generalized Kronecker component (two vertices, m >= 2
-arrows) follows the explicit rank-2 rule (Schofield; Derksen-Weyman).  Only
-what is left, the non-Dynkin components of three or more vertices, is
-sampled over `fields.GF`, whatever field is passed: sample a random
-representation, break it into indecomposables, and certify the result (Schur
-parts, vanishing generic ext both ways, support disjointness).
+every characteristic.  The generic decomposition is deterministic on every
+acyclic quiver: the canonical pair (mu, gamma) is split off first, and mu is
+reduced a pair of roots at a time to the explicit rule on a generalized
+Kronecker quiver (Derksen-Weyman; see `_rank_two_reduction`).  Its parts are
+Schur roots with no generic ext between any two (Kac), so a Schur test is a
+decomposition too.
 D(beta) is cut out by one Euler-form equality and one inequality per generic
-subrepresentation vector, decided by the ext-vanishing criterion.  Membership
-in D(beta) on a Dynkin quiver needs no such system: it is read off the parts
-of the vector's generic decomposition (see `d_membership`); elsewhere it is
-tested against the halfspaces.  The randomized support test samples over the
-caller's field instead: its trials come from one generator per call and are
-evaluated as one stacked elimination (see `supp_test_randomized`).
+subrepresentation vector, decided by the ext-vanishing criterion.  Generic
+ext is read off the parts on a Dynkin quiver and sampled over `fields.GF`
+elsewhere, whatever field is passed.  Membership in D(beta) on a Dynkin
+quiver needs no such system: it is read off the parts of the vector's
+generic decomposition (see `d_membership`); elsewhere it is tested against
+the halfspaces.  The randomized support test samples over the caller's field
+instead: its trials come from one generator per call and are evaluated as
+one stacked elimination (see `supp_test_randomized`).
 """
 
 from __future__ import annotations
@@ -29,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecompositionUnstableError,
-    InvariantViolationError,
-    SplitFailureError,
-    VsiError,
-    ZeroVectorError,
-)
+from .errors import InvariantViolationError, VsiError, ZeroVectorError
 from .fields import GF, Field, derive_rng, mix_seed
 from .presentations import (
     canonical_decomp,
@@ -52,15 +43,8 @@ from .quiver import (
     euler_data,
     euler_form,
     is_dynkin,
-    tits_form,
 )
-from .reps import (
-    check_nonneg,
-    end_dim,
-    fitting_decompose,
-    generic_ext,
-    random_rep,
-)
+from .reps import check_nonneg, generic_ext
 
 
 def cached_generic_ext(
@@ -104,119 +88,98 @@ def generic_decomposition(
 ) -> GenericDecomposition:
     """Decompose alpha into Schur roots minus a shifted-projective part.
 
-    `field` does not change it.  On a Dynkin quiver this is `walk_locate`.
-    Elsewhere each support component of the canonical mu that is Dynkin or
-    has two vertices is closed-form (`_closed_form`); the rest of mu is
-    sampled over GF, decomposed, and its part list validated, resampling on
-    any failure.
+    Deterministic and exact on every acyclic quiver: `field`, `seed` and
+    `max_retries` do not change it.  The canonical pair (mu, gamma) is split
+    off first, then mu is reduced a pair of roots at a time to the generic
+    decomposition on a generalized Kronecker quiver (`_rank_two_reduction`).
     """
-    a = check_dim_vector(q, a)
-    if is_dynkin(q):
-        from .cluster import walk_locate  # cluster imports this module
+    return _decompose(q, check_dim_vector(q, a))
 
-        return walk_locate(q, a)
+
+@functools.lru_cache(maxsize=1 << 14)
+def _decompose(q: Quiver, a: DimVector) -> GenericDecomposition:
     mu, gamma = canonical_decomp(q, a)
-    parts: list[DimVector] = []
-    rest = [0] * q.n
-    for comp in _support_components(q, mu):
-        rule = _closed_form(q, comp)
-        if rule is None:
-            for v in comp:
-                rest[v] = mu[v]
-        else:
-            parts += _component_parts(q, comp, rule, mu)
-    if any(rest):
-        parts += _sampled_parts(q, tuple(rest), gamma, seed, max_retries)
+    parts = _rank_two_reduction(q, mu)
     return GenericDecomposition(alpha=a, schur_parts=tuple(sorted(parts)), gamma=gamma)
-
-
-def _sampled_parts(q, mu, gamma, seed, max_retries) -> list[DimVector]:
-    gamma_support = {v for v in range(q.n) if gamma[v]}
-    failure = "no samples taken"
-    for retry in range(max_retries):
-        m = random_rep(q, mu, GF, mix_seed(seed, "gd-sample", retry))
-        try:
-            summands = fitting_decompose(m, mix_seed(seed, "gd-fit", retry))
-        except SplitFailureError as exc:
-            failure = str(exc)
-            continue
-        parts, failure = _expand_summands(q, summands)
-        failure = failure or _validate_parts(q, parts, gamma_support)
-        if failure is None:
-            return parts
-    raise DecompositionUnstableError(
-        f"validation failed for mu={mu} after {max_retries} samples: {failure}"
-    )
-
-
-def _support_components(q: Quiver, a: DimVector) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components of the full subquiver on
-    supp(a), each in q's order."""
-    left = [v for v in range(q.n) if a[v]]
-    comps = []
-    while left:
-        comp = {left[0]}
-        grown = True
-        while grown:
-            new = {
-                h if t in comp else t
-                for t, h in q.arrows
-                if a[t] and a[h] and (t in comp) != (h in comp)
-            }
-            grown = bool(new)
-            comp |= new
-        comps.append(tuple(sorted(comp)))
-        left = [v for v in left if v not in comp]
-    return comps
-
-
-@functools.lru_cache(maxsize=1 << 8)
-def _closed_form(q: Quiver, comp: tuple[int, ...]):
-    """The generic decomposition on the full subquiver of q on the connected
-    vertex set `comp`, as a map from a vector listed in comp's order to the
-    list of its Schur parts in the same order; None where only sampling
-    answers (a non-Dynkin component of three or more vertices).
-
-    Two vertices joined by m >= 2 arrows, which all run from comp[0] to
-    comp[1] since q's order is topological, follow `_kronecker_parts`.  A
-    Dynkin component is `walk_locate` on the subquiver, which keeps comp's
-    order: it is topological, and a quiver breaks ties by input order.
-    """
-    arrows = [(t, h) for t, h in q.arrows if t in comp and h in comp]
-    if len(comp) == 2 and len(arrows) >= 2:
-        return lambda x: _kronecker_parts(len(arrows), *x)
-    sub = Quiver(
-        [q.names[v] for v in comp], [(q.names[t], q.names[h]) for t, h in arrows]
-    )
-    if not is_dynkin(sub):
-        return None
-    from .cluster import walk_locate  # cluster imports this module
-
-    return lambda x: list(walk_locate(sub, x).schur_parts)
-
-
-def _component_parts(q, comp, rule, mu) -> list[DimVector]:
-    """The closed-form parts of mu on `comp`, as vectors on q; raises
-    InvariantViolationError unless they sum to mu there."""
-    x = tuple(mu[v] for v in comp)
-    local = rule(x)
-    if tuple(map(sum, zip(*local))) != x:
-        raise InvariantViolationError(f"closed-form parts {local} do not sum to {x}")
-    parts = []
-    for part in local:
-        full = [0] * q.n
-        for v, c in zip(comp, part):
-            full[v] = c
-        parts.append(tuple(full))
-    return parts
 
 
 _MAX_PARTS = 2**20  # as many Schur parts as a Dynkin decomposition lists
 
 
-def _kronecker_parts(m: int, x: int, y: int) -> list[tuple[int, int]]:
+def _rank_two_reduction(q: Quiver, mu: DimVector) -> list[DimVector]:
+    """The canonical decomposition of mu >= 0 (Derksen-Weyman, Compositio
+    Math. 133, 2002).
+
+    A list of (root s, E s, multiplicity) entries starts at the simple roots
+    of supp(mu), sinks first, and keeps <s, t> = 0 whenever s comes before
+    t.  While some i < j has <s_j, s_i> < 0, the nearest such pair (then the
+    first) spans a generalized Kronecker quiver with -<s_j, s_i> arrows, s_j
+    at the source; their multiplicities decompose there (`_kronecker_parts`)
+    into at most two new roots, listed so that <first, second> = 0 if either
+    order allows it.  The new roots replace the pair, after the entries
+    between them that must stay ahead and before the others.  At the end an
+    imaginary non-isotropic root s with multiplicity c is the one part c s.
+    """
+    e = euler_data(q).e
+    entries = [
+        ([int(v == w) for w in range(q.n)], [row[v] for row in e], mu[v])
+        for v in reversed(range(q.n))
+        if mu[v]
+    ]
+
+    def form(t, u):  # <s, s'> = s . E s' for entries (s, ...), (s', E s', ...)
+        return sum(x * y for x, y in zip(t[0], u[1]))
+
+    while True:
+        pair = next(
+            (
+                (i, i + gap)
+                for gap in range(1, len(entries))
+                for i in range(len(entries) - gap)
+                if form(entries[i + gap], entries[i]) < 0
+            ),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        (si, ei, y), (sj, ej, x) = entries[i], entries[j]
+        new = [
+            (
+                [a * u + b * w for u, w in zip(sj, si)],
+                [a * u + b * w for u, w in zip(ej, ei)],
+                c,
+            )
+            for (a, b), c in _kronecker_parts(-form(entries[j], entries[i]), x, y)
+        ]
+        if len(new) == 2 and form(new[0], new[1]) != 0 == form(new[1], new[0]):
+            new.reverse()
+        # an entry between s_i and s_j with <s_j, t> != 0 cannot follow the
+        # new roots, so it goes ahead of them with every entry it must follow
+        between = entries[i + 1 : j]
+        ahead = [form(entries[j], t) != 0 for t in between]
+        for k in reversed(range(len(between))):
+            for l in range(k):
+                ahead[l] |= ahead[k] and form(between[k], between[l]) != 0
+        if any(a and form(t, entries[i]) for a, t in zip(ahead, between)):
+            raise InvariantViolationError(f"no orthogonal order of the roots of {mu}")
+        entries[i : j + 1] = (
+            [t for a, t in zip(ahead, between) if a]
+            + new
+            + [t for a, t in zip(ahead, between) if not a]
+        )
+    terms = [
+        (s, c) if form((s, es), (s, es)) >= 0 else ([c * x for x in s], 1)
+        for s, es, c in entries
+    ]
+    if sum(c for _, c in terms) > _MAX_PARTS:
+        raise VsiError(f"{mu} has more than {_MAX_PARTS} Schur parts")
+    return [tuple(s) for s, c in terms for _ in range(c)]
+
+
+def _kronecker_parts(m: int, x: int, y: int) -> list[tuple[tuple[int, int], int]]:
     """Generic parts of (x, y), not both 0, on the Kronecker quiver with
-    m >= 2 arrows, x at the source.
+    m >= 1 arrows, x at the source, as (root, count) terms with count > 0.
 
     m = 2 and x = y: x copies of the isotropic root (1, 1).  m >= 3 and Tits
     form x^2 + y^2 - mxy < 0: (x, y) itself.  Otherwise a r_k + b r_{k+1} with
@@ -226,84 +189,31 @@ def _kronecker_parts(m: int, x: int, y: int) -> list[tuple[int, int]]:
     for every k, so a and b are integer Cramer coordinates.
     """
     if x > y:
-        return [(s, t) for t, s in _kronecker_parts(m, y, x)]
+        return [((s, t), c) for (t, s), c in _kronecker_parts(m, y, x)]
     if m == 2 and x == y:
-        terms = [((1, 1), x)]
-    elif x * x + y * y - m * x * y < 0:
-        terms = [((x, y), 1)]
-    else:
-        if m == 2:  # r_k = (k, k + 1): start at the pair that holds (x, y)
-            k = x // (y - x)
-            lo, hi = (k, k + 1), (k + 1, k + 2)
-        else:  # the slopes fall geometrically, so few steps
-            lo, hi = (0, 1), (1, m)
-        while y * hi[0] - x * hi[1] < 0:  # (x, y) lies below hi's ray
-            lo, hi = hi, (m * hi[0] - lo[0], m * hi[1] - lo[1])
-        terms = [(lo, y * hi[0] - x * hi[1]), (hi, x * lo[1] - y * lo[0])]
-    if sum(t for _, t in terms) > _MAX_PARTS:
-        raise VsiError(f"{(x, y)} has more than {_MAX_PARTS} Schur parts")
-    return [root for root, t in terms for _ in range(t)]
-
-
-def _expand_summands(q, summands):
-    """Dimension-vector parts of (summand, End dimension) pairs, Galois
-    orbits expanded.
-
-    A summand with End = k contributes its dimension vector.  A summand whose
-    End has dimension d > 1 must be an orbit of d conjugate Schur summands
-    defined over a degree-d extension (the general picture over GF(p) when an
-    isotropic Schur root repeats; a base-field sample cannot separate the
-    conjugates) and contributes d copies of dim/d.  Anything else is a
-    validation failure, reported as the second return value.
-    """
-    parts: list[DimVector] = []
-    for s, d in summands:
-        if d == 1:
-            parts.append(s.dim)
-            continue
-        if any(x % d for x in s.dim):
-            return None, f"summand {s.dim} has End of dim {d} not dividing it"
-        reduced = tuple(x // d for x in s.dim)
-        if not is_schur_root(q, reduced, GF):
-            return None, f"summand {s.dim} does not reduce to a Schur root"
-        parts.extend([reduced] * d)
-    return sorted(parts), None
-
-
-def _validate_parts(q, parts, gamma_support) -> str | None:
-    for part in parts:
-        if any(part[v] and v in gamma_support for v in range(q.n)):
-            return f"part {part} meets the shifted-projective support"
-    for i, j in itertools.combinations(range(len(parts)), 2):
-        for x, y in ((parts[i], parts[j]), (parts[j], parts[i])):
-            if cached_generic_ext(q, x, y, GF) != 0:
-                return f"generic ext between parts {x} and {y} is nonzero"
-    return None
+        return [((1, 1), x)]
+    if x * x + y * y - m * x * y < 0:
+        return [((x, y), 1)]
+    if m == 2:  # r_k = (k, k + 1): start at the pair that holds (x, y)
+        k = x // (y - x)
+        lo, hi = (k, k + 1), (k + 1, k + 2)
+    else:  # the slopes fall geometrically, so few steps
+        lo, hi = (0, 1), (1, m)
+    while y * hi[0] - x * hi[1] < 0:  # (x, y) lies below hi's ray
+        lo, hi = hi, (m * hi[0] - lo[0], m * hi[1] - lo[1])
+    terms = [(lo, y * hi[0] - x * hi[1]), (hi, x * lo[1] - y * lo[0])]
+    return [(root, c) for root, c in terms if c]
 
 
 def is_schur_root(
     q: Quiver, a, field: Field, seed: int = 0, trials: int = 3
 ) -> bool:
-    """Dynkin: Tits form 1, whatever the seed.  Elsewhere: a disconnected
-    support is never Schur; a connected one with a closed form (Dynkin or two
-    vertices) is Schur iff it is its own only part; otherwise some sampled
-    representation of a over GF (whatever `field` is) has End = k."""
+    """Whether a >= 0 is a Schur root: its generic decomposition is (a,).
+    `field`, `seed` and `trials` do not change it."""
     a = check_nonneg(q, a)
     if all(x == 0 for x in a):
         raise ZeroVectorError("the zero vector is not a root")
-    if is_dynkin(q):
-        return tits_form(q, a) == 1
-    comps = _support_components(q, a)
-    if len(comps) > 1:
-        return False
-    rule = _closed_form(q, comps[0])
-    if rule is not None:
-        x = tuple(a[v] for v in comps[0])
-        return rule(x) == [x]
-    return any(
-        end_dim(random_rep(q, a, GF, mix_seed(seed, "schur", t))) == 1
-        for t in range(trials)
-    )
+    return generic_decomposition(q, a, field).schur_parts == (a,)
 
 
 def subrep_test(q: Quiver, b_sub, b, field: Field) -> bool:

@@ -49,10 +49,6 @@ class SplitFailureError(VsiError):
     """A direct-sum splitting could not be realized (unlucky samples or small field)."""
 
 
-class DecompositionUnstableError(VsiError):
-    """Generic-decomposition validation kept failing across resamples."""
-
-
 class NotDynkinError(VsiError):
     pass
 

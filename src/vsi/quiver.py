@@ -137,9 +137,10 @@ class Quiver:
 def load_quiver(text: str) -> Quiver:
     """Parse a quiver from JSON or from the one-arrow-per-line format.
 
-    JSON: {"vertices": ["1","2"], "arrows": [["1","2"], ...]}.  Line format:
-    `1 -> 2` per line (vertices inferred, first-appearance order); blank lines
-    and lines starting with `#` are skipped.
+    JSON: {"vertices": ["1","2"], "arrows": [["1","2"], ...]}, names strings
+    or integers.  Line format: `1 -> 2` per line (vertices inferred,
+    first-appearance order); blank lines and lines starting with `#` are
+    skipped.
     """
     stripped = text.strip()
     if not stripped:
@@ -157,8 +158,8 @@ def load_quiver(text: str) -> Quiver:
         for entry in data["arrows"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ParseError(f"bad arrow entry {entry!r}")
-            arrows.append((entry[0], entry[1]))
-        return Quiver([str(v) for v in data["vertices"]], arrows)
+            arrows.append((_json_name(entry[0]), _json_name(entry[1])))
+        return Quiver([_json_name(v) for v in data["vertices"]], arrows)
     vertices: list[str] = []
     arrows = []
     for line in stripped.splitlines():
@@ -176,6 +177,13 @@ def load_quiver(text: str) -> Quiver:
                 vertices.append(nm)
         arrows.append((t, h))
     return Quiver(vertices, arrows)
+
+
+def _json_name(x) -> str:
+    """A vertex name from quiver JSON: a string or an integer (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ParseError(f"vertex names must be strings or integers, got {x!r}")
+    return str(x)
 
 
 @dataclass(frozen=True)

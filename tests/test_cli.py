@@ -299,6 +299,53 @@ def test_quiver_json_without_lists_exits_one(capsys, tmp_path, text):
     assert "'vertices' and 'arrows' lists" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [null, "2"], "arrows": []}',
+        '{"vertices": [{"a": 1}], "arrows": []}',
+        '{"vertices": [["1"]], "arrows": []}',
+        '{"vertices": [true, false], "arrows": []}',
+        '{"vertices": ["1", "2"], "arrows": [[null, "2"]]}',
+        '{"vertices": ["1", "2"], "arrows": [["1", {"a": 1}]]}',
+        '{"vertices": ["1", "2"], "arrows": [["1", ["2"]]]}',
+        '{"vertices": ["1", "True"], "arrows": [["1", true]]}',
+    ],
+    ids=["null", "object", "list", "bool", "arrow-null", "arrow-object",
+         "arrow-list", "arrow-bool"],
+)
+def test_quiver_json_names_that_are_not_strings_or_integers_exit_one(
+    capsys, tmp_path, text
+):
+    path = tmp_path / "bad.quiver"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "--quiver", str(path), "euler")
+    assert code == 1 and not out
+    assert "strings or integers" in err
+
+
+def test_quiver_json_integer_names_still_load(capsys, tmp_path):
+    path = tmp_path / "ints.quiver"
+    path.write_text('{"vertices": [1, "2"], "arrows": [[1, 2]]}', encoding="utf-8")
+    code, out, err = _run(capsys, "--quiver", str(path), "--format", "json", "euler")
+    assert code == 0, err
+    assert json.loads(out)["vertices"] == ["1", "2"]
+
+
+def test_quiver_file_that_is_not_utf8_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.quiver"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, "--quiver", str(path), "euler")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_decompose_refuses_more_than_a_million_parts(capsys):
+    code, out, err = _run(capsys, "decompose", "--", "99999999999,0,0")
+    assert code == 1 and not out
+    assert "error:" in err and "Schur parts" in err
+
+
 def test_complex_truncate_refuses_a_negative_bound(capsys):
     code, out, err = _run(capsys, "complex", "truncate", "--bound", "-1")
     assert code == 1 and not out
@@ -314,8 +361,9 @@ def test_selftest_passes(capsys):
     code, out, _ = _run(capsys, "selftest")
     assert code == 0
     assert "selftest passed" in out
-    assert out.count("ok:") == 7
+    assert out.count("ok:") == 8
     assert "ok: E6 complex" in out
+    assert "ok: (1,2,2) is a Schur root and (3,3,3) is three copies" in out
 
 
 def test_entry_point_and_seed_env(tmp_path):

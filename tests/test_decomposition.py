@@ -28,7 +28,9 @@ from vsi import (
     subrep_test,
     supp_test_randomized,
     tits_form,
+    walk_locate,
 )
+import vsi.reps
 from vsi import decomposition
 
 
@@ -224,28 +226,6 @@ def test_cached_generic_ext_is_deterministic(ex_quiver, gf):
     assert first == second
 
 
-def test_generic_decomposition_expands_isotropic_multiples(ex_quiver, gf, monkeypatch):
-    # full support, so these sample: a base-field sample of a repeated
-    # isotropic root can come out as one summand whose End is a degree-d
-    # extension field (a Galois orbit), which must expand to d copies
-    orders = []
-    real = decomposition.fitting_decompose
-
-    def spy(*args, **kwargs):
-        summands = real(*args, **kwargs)
-        orders.extend(d for _, d in summands)
-        return summands
-
-    monkeypatch.setattr(decomposition, "fitting_decompose", spy)
-    for alpha, root, count in (((3, 3, 3), (1, 1, 1), 3), ((2, 4, 2), (1, 2, 1), 2)):
-        orders.clear()
-        dec = generic_decomposition(ex_quiver, alpha, gf, seed=0)
-        assert dec.schur_parts == (root,) * count and dec.gamma == (0, 0, 0)
-        assert orders == [count]  # seed 0 meets the orbit branch on both
-        for seed in (1, 3):
-            assert generic_decomposition(ex_quiver, alpha, gf, seed=seed) == dec
-
-
 def test_isotropic_multiples_on_a_kronecker_component_are_closed_form(ex_quiver, gf):
     # mu = (0, 9, 9) lives on the double arrow 2 => 3: nine copies of (1, 1)
     dec = generic_decomposition(ex_quiver, (-3, 6, 3), gf, seed=0)
@@ -296,8 +276,9 @@ def test_dynkin_answers_ignore_field_and_seed_and_never_sample(
     def refuse(*args, **kwargs):
         raise AssertionError("a Dynkin answer sampled a representation")
 
-    for name in ("random_rep", "fitting_decompose", "generic_ext"):
-        monkeypatch.setattr(decomposition, name, refuse)
+    for name in ("random_rep", "fitting_decompose"):
+        monkeypatch.setattr(vsi.reps, name, refuse)
+    monkeypatch.setattr(decomposition, "generic_ext", refuse)
     fields = [parse_field(f) for f in ("fp:2", "fp:3", "fp:32003", "q")]
     for q in (a3, d4, D5, E6):
         rng = derive_rng(46, "fieldfree", q.names, q.arrows)
@@ -319,6 +300,56 @@ def test_dynkin_answers_ignore_field_and_seed_and_never_sample(
             assert len(answers) == 1, (q.arrows, alpha, a, b)
 
 
+E7 = Quiver(
+    list("1234567"),
+    [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("3", "7")],
+)
+E8 = Quiver(
+    list("12345678"),
+    [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("6", "7"),
+     ("3", "8")],
+)
+
+
+def _orientations(q, count, rng):
+    """q and count - 1 seeded re-orientations of its arrows."""
+    out = [q]
+    for _ in range(count - 1):
+        ends = [(q.names[t], q.names[h]) for t, h in q.arrows]
+        out.append(Quiver(q.names, [e[::-1] if rng.integers(2) else e for e in ends]))
+    return out
+
+
+def test_generic_decomposition_equals_the_walk_on_dynkin_quivers(gf):
+    rng = derive_rng(63, "walk")
+    for base in (A5, D5, E6, E7, E8):
+        for q in _orientations(base, 4, rng):
+            for _ in range(100):
+                alpha = tuple(int(x) for x in rng.integers(-6, 7, size=q.n))
+                want = walk_locate(q, alpha)
+                assert generic_decomposition(q, alpha, gf) == want, (q.arrows, alpha)
+    # on these two, an entry between the reduced pair pairs with the source
+    # root, so it must move ahead of the new roots, not follow them
+    e8_alt = Quiver(
+        list("12345678"),
+        [("1", "2"), ("2", "3"), ("3", "4"), ("5", "4"), ("5", "6"), ("6", "7"),
+         ("3", "8")],
+    )
+    for q, alpha in (
+        (E8, (4, -6, 6, -3, -5, -1, -2, 5)),
+        (e8_alt, (2, -2, 4, 4, 0, 3, 5, -1)),
+    ):
+        assert generic_decomposition(q, alpha, gf) == walk_locate(q, alpha)
+
+
+def test_rank_two_rule_with_one_arrow_is_the_walk_on_a2(a2):
+    for x, y in itertools.product(range(13), repeat=2):
+        if x or y:
+            terms = decomposition._kronecker_parts(1, x, y)
+            parts = tuple(sorted(root for root, c in terms for _ in range(c)))
+            assert parts == walk_locate(a2, (x, y)).schur_parts, (x, y)
+
+
 # the generalized Kronecker quiver with three arrows: wild, two vertices
 K3 = Quiver(["1", "2"], [("1", "2")] * 3)
 FIELDS = ("fp:2", "fp:3", "fp:32003", "q")
@@ -331,18 +362,18 @@ def test_non_dynkin_answers_ignore_field_and_sample_over_gf(
     # answers cannot depend on the field; the samples are drawn over GF only
     seen = set()
 
-    def record(name, field_of):
-        real = getattr(decomposition, name)
+    def record(module, name, field_of):
+        real = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             seen.add(field_of(args).name)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(decomposition, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    record("random_rep", lambda args: args[2])
-    record("generic_ext", lambda args: args[3])
-    record("fitting_decompose", lambda args: args[0].field)
+    record(vsi.reps, "random_rep", lambda args: args[2])
+    record(decomposition, "generic_ext", lambda args: args[3])
+    record(vsi.reps, "fitting_decompose", lambda args: args[0].field)
     decomposition._sampled_ext.cache_clear()
     decomposition._halfspaces.cache_clear()
     fields = [parse_field(f) for f in FIELDS]
@@ -459,62 +490,114 @@ D4_TILDE = Quiver(list("12345"), [(c, "5") for c in "1234"])
 KRONECKER = {m: Quiver(["1", "2"], [("1", "2")] * m) for m in (2, 3, 4)}
 
 
+# a wild quiver with four vertices: a double arrow, then a path
+WILD4 = Quiver(list("1234"), [("1", "2"), ("1", "2"), ("2", "3"), ("3", "4")])
+
+
+def _sampled_schur(q, beta, gf, seed):
+    return any(
+        end_dim(random_rep(q, beta, gf, mix_seed(seed, "oracle-schur", beta, t))) == 1
+        for t in range(3)
+    )
+
+
 def _sampled_definition(q, mu, gf, seed):
-    """The parts of a random representation of mu, split by Fitting, with
-    Galois orbits expanded; resampled on a failed split or expansion."""
+    """The parts of a random representation of mu, split by Fitting.
+
+    A summand whose End has dimension d > 1 is an orbit of d conjugate Schur
+    summands over a degree-d extension (a base-field sample cannot separate
+    the conjugates of a repeated isotropic root) and counts as d copies of
+    dim/d, once a sample of dim/d has End = k.  Resampled on a failed split
+    or expansion."""
     for t in range(5):
         rep = random_rep(q, mu, gf, mix_seed(seed, "oracle-rep", t))
         try:
             summands = fitting_decompose(rep, mix_seed(seed, "oracle-fit", t))
         except SplitFailureError:
             continue
-        parts, failure = decomposition._expand_summands(q, summands)
-        if failure is None:
-            return tuple(parts)
+        parts = []
+        for summand, d in summands:
+            root = tuple(x // d for x in summand.dim)
+            if d > 1 and (
+                any(x % d for x in summand.dim) or not _sampled_schur(q, root, gf, seed)
+            ):
+                break
+            parts += [root] * d
+        else:
+            return tuple(sorted(parts))
     raise AssertionError(f"no sample of {mu} decomposed")
 
 
-def _closed_form_mus(q, box):
-    """alpha in box^n, nonzero, and the canonical mu of each, kept where mu
-    meets only Dynkin or two-vertex support components: every mu on a
-    two-vertex quiver, and on the larger (connected, non-Dynkin) ones every
-    mu without full support."""
+def _mus(q, box):
+    """The canonical mu of each nonzero alpha in box^n, with its alphas."""
+    by_mu = {}
     for alpha in itertools.product(box, repeat=q.n):
         mu = canonical_decomp(q, alpha)[0]
-        if any(mu) and (q.n == 2 or not all(mu)):
-            yield alpha, mu
+        if any(mu):
+            by_mu.setdefault(mu, []).append(alpha)
+    return by_mu
 
 
 def test_closed_forms_match_the_sampled_definition(ex_quiver, gf):
+    # (quiver, box, how many mus without full support and with it to check;
+    # None checks all of them, and a number a seeded choice)
     grids = [
-        (KRONECKER[2], range(-4, 8)),
-        (KRONECKER[3], range(-4, 8)),
-        (KRONECKER[4], range(-4, 6)),
-        (ex_quiver, range(-2, 4)),
-        (A2_TILDE, range(-2, 4)),
-        (D4_TILDE, range(-2, 3)),
+        (KRONECKER[2], range(-4, 8), None, None),
+        (KRONECKER[3], range(-4, 8), None, None),
+        (KRONECKER[4], range(-4, 6), None, None),
+        (ex_quiver, range(-2, 4), None, None),
+        (A2_TILDE, range(-2, 4), None, 12),
+        (D4_TILDE, range(-2, 3), 90, 12),
+        (WILD4, range(-1, 4), 30, 12),
     ]
     rng = derive_rng(61, "closed-forms")
-    checked = 0
-    for q, box in grids:
-        by_mu = {}
-        for alpha, mu in _closed_form_mus(q, box):
-            by_mu.setdefault(mu, []).append(alpha)
-        mus = sorted(by_mu)
-        if q is D4_TILDE:  # 426 of them; a seeded fifth keeps this quick
-            mus = [mus[int(i)] for i in rng.choice(len(mus), 90, replace=False)]
-        for mu in mus:
+    checked = full = 0
+    for q, box, partial_count, full_count in grids:
+        by_mu = _mus(q, box)
+        chosen = []
+        for full_support, count in ((False, partial_count), (True, full_count)):
+            mus = sorted(mu for mu in by_mu if all(mu) == full_support)
+            if count is not None:
+                mus = [mus[int(i)] for i in rng.choice(len(mus), count, replace=False)]
+            chosen += mus
+        for mu in chosen:
             want = _sampled_definition(q, mu, gf, mix_seed(61, q.arrows, mu))
             for alpha in by_mu[mu]:
                 dec = generic_decomposition(q, alpha, gf)
                 assert dec.schur_parts == want, (q.arrows, alpha)
-            sampled_schur = any(
-                end_dim(random_rep(q, mu, gf, mix_seed(62, mu, t))) == 1
-                for t in range(3)
-            )
+            sampled_schur = _sampled_schur(q, mu, gf, 62)
             assert is_schur_root(q, mu, gf) == sampled_schur, (q.arrows, mu)
             checked += 1
-    assert checked > 400
+            full += q.n > 2 and all(mu)
+    assert checked > 500 and full == 27 + 3 * 12
+
+
+def test_full_support_decompositions_never_sample(ex_quiver, gf, monkeypatch):
+    # full-support mus on connected non-Dynkin quivers of three or more
+    # vertices, isotropic multiples included, with no sample taken
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition sampled a representation")
+
+    for name in ("random_rep", "fitting_decompose", "generic_ext"):
+        monkeypatch.setattr(vsi.reps, name, refuse)
+    monkeypatch.setattr(decomposition, "generic_ext", refuse)
+    cases = [
+        (ex_quiver, (1, 2, 2), ((1, 2, 2),)),
+        (ex_quiver, (3, 3, 3), ((1, 1, 1),) * 3),
+        (ex_quiver, (2, 4, 2), ((1, 2, 1),) * 2),
+        (ex_quiver, (2, 5, 6), ((2, 5, 6),)),
+        (A2_TILDE, (2, 2, 2), ((1, 1, 1),) * 2),
+        (A2_TILDE, (2, 1, 3), ((1, 0, 1), (1, 1, 2))),
+        (D4_TILDE, (1, 1, 1, 1, 2), ((1, 1, 1, 1, 2),)),
+        (D4_TILDE, (2, 2, 2, 2, 4), ((1, 1, 1, 1, 2),) * 2),
+        (D4_TILDE, (2, 1, 1, 1, 3), ((2, 1, 1, 1, 3),)),
+        (KRONECKER[3], (40, 100), ((40, 100),)),
+        (KRONECKER[3], (3, 3), ((3, 3),)),
+    ]
+    for q, alpha, parts in cases:
+        dec = generic_decomposition(q, alpha, gf)
+        assert dec.schur_parts == parts and not any(dec.gamma), (q.arrows, alpha)
+        assert is_schur_root(q, alpha, gf) == (len(parts) == 1), (q.arrows, alpha)
 
 
 def test_closed_form_components_never_sample(ex_quiver, gf, monkeypatch):
@@ -522,7 +605,7 @@ def test_closed_form_components_never_sample(ex_quiver, gf, monkeypatch):
         raise AssertionError("a closed-form component sampled a representation")
 
     for name in ("random_rep", "fitting_decompose"):
-        monkeypatch.setattr(decomposition, name, refuse)
+        monkeypatch.setattr(vsi.reps, name, refuse)
     cases = [
         # K2 on 2 => 3 and Dynkin pieces, including two components at once
         (ex_quiver, (0, 10, 18), ((0, 1, 2),) * 6 + ((0, 2, 3),) * 2),
@@ -551,22 +634,3 @@ def test_closed_form_components_never_sample(ex_quiver, gf, monkeypatch):
     for q, alpha in ((KRONECKER[2], (2**21, 2**21)), (KRONECKER[3], (0, 2**21))):
         with pytest.raises(VsiError, match="Schur parts"):
             generic_decomposition(q, alpha, gf)
-
-
-def test_full_support_on_a_larger_non_dynkin_quiver_still_samples(
-    ex_quiver, gf, monkeypatch
-):
-    calls = Counter()
-    for name in ("random_rep", "fitting_decompose"):
-        real = getattr(decomposition, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(decomposition, name, counted)
-    dec = generic_decomposition(ex_quiver, (1, 2, 2), gf)
-    assert dec.schur_parts == ((1, 2, 2),)
-    assert calls["random_rep"] >= 1 and calls["fitting_decompose"] >= 1
-    calls.clear()
-    assert is_schur_root(ex_quiver, (1, 2, 2), gf) and calls["random_rep"] >= 1
