@@ -572,19 +572,56 @@ def test_closed_forms_match_the_sampled_definition(ex_quiver, gf):
     assert checked > 500 and full == 27 + 3 * 12
 
 
-def test_full_support_decompositions_never_sample(ex_quiver, gf, monkeypatch):
-    # full-support mus on connected non-Dynkin quivers of three or more
-    # vertices, isotropic multiples included, with no sample taken
+def _refuse_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a decomposition sampled a representation")
 
     for name in ("random_rep", "fitting_decompose", "generic_ext"):
         monkeypatch.setattr(vsi.reps, name, refuse)
     monkeypatch.setattr(decomposition, "generic_ext", refuse)
+
+
+def test_full_support_on_a_larger_non_dynkin_quiver_still_samples(
+    ex_quiver, gf, monkeypatch
+):
+    # the reduction answers (1, 2, 2) without a sample; a sample of it (the
+    # definition, drawn here by the test) still has End = k and one summand
+    with monkeypatch.context() as m:
+        _refuse_sampling(m)
+        dec = generic_decomposition(ex_quiver, (1, 2, 2), gf)
+        assert dec.schur_parts == ((1, 2, 2),) and dec.gamma == (0, 0, 0)
+        assert is_schur_root(ex_quiver, (1, 2, 2), gf)
+    rep = random_rep(ex_quiver, (1, 2, 2), gf, mix_seed(0, "full-support"))
+    assert [(s.dim, d) for s, d in fitting_decompose(rep, 0)] == [((1, 2, 2), 1)]
+    assert _sampled_definition(ex_quiver, (1, 2, 2), gf, 0) == dec.schur_parts
+    assert _sampled_schur(ex_quiver, (1, 2, 2), gf, 0)
+
+
+def test_generic_decomposition_expands_isotropic_multiples(ex_quiver, gf, monkeypatch):
+    # a base-field sample of a repeated isotropic root can come out as one
+    # summand whose End is a degree-d extension field (a Galois orbit), which
+    # stands for d copies; the reduction lists the copies without sampling
+    for alpha, root, count in (((3, 3, 3), (1, 1, 1), 3), ((2, 4, 2), (1, 2, 1), 2)):
+        with monkeypatch.context() as m:
+            _refuse_sampling(m)
+            dec = generic_decomposition(ex_quiver, alpha, gf, seed=0)
+            assert dec.schur_parts == (root,) * count and dec.gamma == (0, 0, 0)
+            for seed in (1, 3):
+                assert generic_decomposition(ex_quiver, alpha, gf, seed=seed) == dec
+        orbit_met = False
+        for seed in range(4):
+            rep = random_rep(ex_quiver, alpha, gf, mix_seed(seed, "isotropic", alpha))
+            summands = fitting_decompose(rep, mix_seed(seed, "fit", alpha))
+            orbit_met |= any(d > 1 for _, d in summands)
+            assert _sampled_definition(ex_quiver, alpha, gf, seed) == dec.schur_parts
+        assert orbit_met, alpha
+
+
+def test_full_support_decompositions_never_sample(ex_quiver, gf, monkeypatch):
+    # full-support mus on connected non-Dynkin quivers of three or more
+    # vertices, isotropic multiples included, with no sample taken
+    _refuse_sampling(monkeypatch)
     cases = [
-        (ex_quiver, (1, 2, 2), ((1, 2, 2),)),
-        (ex_quiver, (3, 3, 3), ((1, 1, 1),) * 3),
-        (ex_quiver, (2, 4, 2), ((1, 2, 1),) * 2),
         (ex_quiver, (2, 5, 6), ((2, 5, 6),)),
         (A2_TILDE, (2, 2, 2), ((1, 1, 1),) * 2),
         (A2_TILDE, (2, 1, 3), ((1, 0, 1), (1, 1, 2))),
