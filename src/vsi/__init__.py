@@ -23,7 +23,6 @@ from .cluster import (
     ridge_cone_contains,
     truncated_compatibility,
     verify_sphere,
-    walk_locate,
     wall_labels,
 )
 from .decomposition import (

@@ -236,7 +236,7 @@ def _cmd_complex(args) -> int:
             lines,
         )
         return 0
-    c = build_complex(q, field, seed=args.seed)
+    c = build_complex(q, field)
     if args.action == "build":
         lines = [
             f"vertices: {len(c.vertices)}",
@@ -356,7 +356,7 @@ def _selftest_checks():
         [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("6", "3")],
     )
     c6 = build_complex(e6q, field)
-    report = verify_sphere(c6, samples=0)
+    report = verify_sphere(c6)
     try:
         labelled = len(wall_labels(c6)) == len(c6.ridges())
     except EmptyLabelError:

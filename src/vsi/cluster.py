@@ -9,9 +9,8 @@ positive roots whose support cone D(beta) contains them.
 
 The face cones partition R^n and each facet's lambda vectors form a Z-basis,
 so one certified table of integer facet inverses answers every cone question
-exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering test.
-`walk_locate` finds the facet cone of a vector without listing the facets,
-an oracle for the rank-2 reduction that `generic_decomposition` runs.
+exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering
+certificate, which samples nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import functools
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +35,7 @@ from .errors import (
     VsiError,
     ZeroCoefficientsError,
 )
-from .fields import Field, mix_seed
+from .fields import Field
 from .quiver import (
     DimVector,
     Quiver,
@@ -136,7 +134,6 @@ class TiltingComplex:
     matrix (column k the lambda vector of `facets[f][k]`)."""
 
     quiver: Quiver
-    seed: int
     vertices: tuple[ComplexVertex, ...]
     facets: tuple[tuple[int, ...], ...]
     compat: tuple[tuple[bool, ...], ...]
@@ -160,20 +157,35 @@ class TiltingComplex:
 
 
 def _max_cliques(adj: list[set[int]], n: int) -> list[tuple[int, ...]]:
-    """Maximal cliques, pivoting search, deterministic order."""
+    """Maximal cliques, pivoting search, deterministic order.
+
+    Vertex sets are bitmasks (bit v for vertex v); the pivot is the lowest
+    vertex of p | x with the most neighbours in p.
+    """
+    nbrs = [sum(1 << u for u in a) for a in adj]
     cliques: list[tuple[int, ...]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
+    def expand(r: tuple[int, ...], p: int, x: int) -> None:
+        if not p | x:
             cliques.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda v: (len(p & adj[v]), -v))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        rest, most = p | x, -1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if (nbrs[u] & p).bit_count() > most:
+                most, pivot = (nbrs[u] & p).bit_count(), u
+        rest = p & ~nbrs[pivot]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            expand(r + (v,), p & nbrs[v], x & nbrs[v])
+            p ^= low
+            x |= low
 
-    expand(set(), set(range(n)), set())
+    expand((), (1 << n) - 1, 0)
     return sorted(cliques)
 
 
@@ -244,10 +256,10 @@ def _facet_inverses(n: int, verts, facets) -> np.ndarray:
 def build_complex(q: Quiver, field: Field | None, seed: int = 0) -> TiltingComplex:
     """Clique complex of the compatibility graph, with build-time invariants.
 
-    Compatibility is exact Euler-form arithmetic, so `field` is not used;
-    `seed` picks `verify_sphere`'s covering samples.  Every maximal clique
-    must have exactly n vertices whose lambda vectors form a Z-basis,
-    certified by the facet inverse table.
+    Compatibility is exact Euler-form arithmetic and nothing is sampled, so
+    neither `field` nor `seed` has any effect.  Every maximal clique must
+    have exactly n vertices whose lambda vectors form a Z-basis, certified
+    by the facet inverse table.
     """
     verts, compat = _fan(q)
     adj = [set(np.flatnonzero(row).tolist()) for row in compat]
@@ -259,7 +271,6 @@ def build_complex(q: Quiver, field: Field | None, seed: int = 0) -> TiltingCompl
             )
     return TiltingComplex(
         q,
-        seed,
         verts,
         tuple(facets),
         tuple(map(tuple, compat.tolist())),
@@ -300,68 +311,6 @@ def locate(c: TiltingComplex, x) -> GenericDecomposition:
         raise InvariantViolationError(f"no facet cone contains {x}")
     fi = int(inside[0])
     return _read_facet(c.quiver, x, [c.vertices[i] for i in c.facets[fi]], coords[fi])
-
-
-def walk_locate(q: Quiver, x) -> GenericDecomposition:
-    """`locate` on q's complex without listing its facets (Catalan(n + 1)
-    of them on A_n).  Walks the segment from a point p inside the projectives'
-    cone to x: the coordinate that first falls to 0 names the ridge crossed,
-    and the one other vertex compatible with that ridge replaces it, a
-    unimodular flip.  A line crosses each wall hyperplane <., beta> = 0 once,
-    so there is at most one flip per positive root.  If the segment meets a
-    face of codimension 2, p moves along the moment curve.  It reads the
-    generic decomposition off the complex, independently of
-    `generic_decomposition`, which equals it on every Dynkin quiver."""
-    return _walk(q, check_dim_vector(q, x))
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _walk(q: Quiver, x: DimVector) -> GenericDecomposition:
-    verts, compat = _fan(q)
-    n = q.n
-    e = euler_data(q).e
-    start = [verts.index(ComplexVertex("root", proj_vector(q, v))) for v in range(n)]
-    for r in range(2, 34):
-        facet = list(start)
-        # row k: row k of the facet's inverse (E^t, as the projectives' lambda
-        # matrix is (E^t)^-1), then coordinate k of p and of x
-        rows = [
-            [e[j][k] for j in range(n)]
-            + [r**k, sum(e[j][k] * x[j] for j in range(n))]
-            for k in range(n)
-        ]
-        for _ in range(len(verts)):
-            coords = [row[-1] for row in rows]
-            leaving = [k for k in range(n) if coords[k] < 0]
-            if not leaving:
-                return _read_facet(q, x, [verts[i] for i in facet], coords)
-            # coordinate k falls from p's to x's and is 0 at t = cp/(cp - cx)
-            times = sorted(
-                (Fraction(rows[k][-2], rows[k][-2] - coords[k]), k) for k in leaving
-            )
-            if len(times) > 1 and times[0][0] == times[1][0]:
-                break  # the segment meets a face of codimension 2
-            k = times[0][1]
-            ridge = facet[:k] + facet[k + 1 :]
-            others = [int(u) for u in np.flatnonzero(compat[ridge].all(axis=0))]
-            others.remove(facet[k])
-            if len(others) != 1:
-                raise InvariantViolationError(f"ridge {ridge} is not in 2 facets")
-            u = others[0]
-            a = [sum(m * y for m, y in zip(row, verts[u].lam)) for row in rows]
-            if a[k] != -1:
-                raise InvariantViolationError(f"flip of {facet} at {k} not unimodular")
-            # lam(u) = sum_j a_j lam(facet[j]) with a_k = -1: coordinate k
-            # changes sign and every other one gains a_j times it
-            pivot = [-y for y in rows[k]]
-            rows = [
-                pivot if j == k else [y - a[j] * z for y, z in zip(rows[j], pivot)]
-                for j in range(n)
-            ]
-            facet[k] = u
-        else:
-            raise InvariantViolationError(f"the walk to {x} crossed a wall twice")
-    raise InvariantViolationError(f"every segment to {x} met a face of codimension 2")
 
 
 # ------------------------------------------------------------------- lambda
@@ -414,13 +363,45 @@ class SphereReport:
         return not self.failures
 
 
+def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows in lexicographic order, the permutation that sorts them, and
+    a mask of the sorted rows that differ from the row before.  One lexsort,
+    which radix sorts the narrowest unsigned type."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows, order, new
+
+
+def _connected(m: int, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the graph on nodes 0..m-1 with edges a[i]-b[i] is connected.
+    Each node takes the least label at the ends of its edges, then the label
+    of its label, until no label changes; then each component has one."""
+    labels = np.arange(m)
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        new = labels.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if (new == labels).all():
+            return not (labels > 0).any()
+        labels = new
+
+
 def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
-    """All structural sphere checks for a built Dynkin complex.
+    """All structural sphere checks for a built Dynkin complex, exact and
+    deterministic; `samples` has no effect.
 
     Some facet, purity, every ridge in exactly two facets, facet-adjacency
     connectivity, Euler characteristic of S^{n-1}, injectivity of lambda on
-    vertices, and an exact covering test: each of `samples` random integer
-    vectors has coordinates >= 0 on some facet and > 0 on at most one.
+    vertices, and a covering certificate.  The facet cones are unimodular
+    (`build_complex` certifies their inverses); if the two facets at every
+    ridge lie on opposite sides of it, and p, the sum of the projectives'
+    dimension vectors, has coordinates >= 0 on exactly one facet and > 0
+    there, the cones form a complete fan that covers every point of R^n
+    once (De Loera-Rambau-Santos, Triangulations, ch. 4).
     """
     q = c.quiver
     n = q.n
@@ -429,31 +410,39 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
         failures.append("no facets")
     if any(len(f) != n for f in c.facets):
         failures.append("impure: facet of wrong size")
-    bad = [r for r, members in c.ridge_facets.items() if len(members) != 2]
-    if bad:
-        failures.append(f"{len(bad)} ridges not in exactly 2 facets")
-    # connectivity of the facet adjacency graph (shared ridge = adjacency)
-    seen = {0} if c.facets else set()
-    queue = list(seen)
-    while queue:
-        facet = c.facets[queue.pop()]
-        for ridge in itertools.combinations(facet, len(facet) - 1):
-            for nxt in set(c.ridge_facets[ridge]) - seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(c.facets):
+    facets = np.array(c.facets, dtype=np.min_scalar_type(len(c.vertices)))
+    facets = facets.reshape(-1, n)
+    # row n*f + k is facet f without its vertex k: facets are sorted, so equal
+    # ridges are equal rows, which one sort makes adjacent
+    drop = [[j for j in range(n) if j != k] for k in range(n)]
+    ridges = facets[:, drop].reshape(len(facets) * n, n - 1)
+    ridges, order, first = _sort_rows(ridges)
+    sizes = np.diff(np.append(np.flatnonzero(first), len(ridges)))
+    if (sizes != 2).any():
+        failures.append(f"{np.sum(sizes != 2)} ridges not in exactly 2 facets")
+    # each pair of equal rows: facet f leaves out its vertex k, g its vertex j
+    pair = np.flatnonzero(~first[1:])
+    (f, k), (g, j) = divmod(order[pair], n), divmod(order[pair + 1], n)
+    if not _connected(len(facets), f, g):
         failures.append("facet adjacency graph is disconnected")
-    # distinct faces, largest first: k-faces are k-subsets of (k + 1)-faces;
-    # facets are sorted, so equal faces are equal rows, which one lexsort per k
-    # makes adjacent (it radix sorts the narrowest unsigned type)
-    faces = np.array(c.facets, dtype=np.min_scalar_type(len(c.vertices))).reshape(-1, n)
-    face_counts = []
-    for k in range(n, 0, -1):
-        cols = list(itertools.combinations(range(faces.shape[1]), k))
-        faces = faces[:, cols].reshape(-1, k)
-        faces = faces[np.lexsort(faces.T[::-1])]
-        new = (faces[1:] != faces[:-1]).any(axis=1)
-        faces = np.concatenate([faces[:1], faces[1:][new]])
+    # on opposite sides, g's other vertex has coordinate k < 0 on f's basis
+    lam = np.array([v.lam for v in c.vertices], dtype=np.int64).reshape(-1, n)
+    apex = np.einsum("ij,ij->i", c.inverses[f, k], lam[facets[g, j]])
+    if (apex >= 0).any():
+        failures.append(f"{np.sum(apex >= 0)} ridges with both facets on one side")
+    p = tuple(map(sum, zip(*(proj_vector(q, v) for v in range(n)))))
+    coords = _coordinates(c.inverses, p)
+    inside = (coords >= 0).all(axis=1)
+    if np.count_nonzero(inside) != 1 or not (coords[inside] > 0).all():
+        failures.append(f"{p} is not inside exactly one facet cone")
+    # distinct faces, largest first: k-faces are k-subsets of (k + 1)-faces
+    face_counts = [int(np.count_nonzero(_sort_rows(facets)[2]))]
+    faces = ridges[first]
+    for k in range(n - 1, 0, -1):
+        if k < n - 1:  # the ridges are sorted and distinct already
+            cols = list(itertools.combinations(range(k + 1), k))
+            faces, _, new = _sort_rows(faces[:, cols].reshape(-1, k))
+            faces = faces[new]
         face_counts.insert(0, len(faces))
     chi = sum((-1) ** k * face_counts[k] for k in range(n))
     expected_chi = 1 + (-1) ** (n - 1)
@@ -462,18 +451,6 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     rays = [_to_sphere(v.lam).ray for v in c.vertices]
     if len(set(rays)) != len(rays):
         failures.append("lambda is not injective on vertices")
-    # a few hundred small integers: the standard library generator will do
-    rng = random.Random(mix_seed(c.seed, "covering", q.names, q.arrows))
-    checked = 0
-    while checked < samples:
-        x = tuple(rng.randint(-6, 6) for _ in range(n))
-        if not any(x):
-            continue
-        checked += 1
-        coords = _coordinates(c.inverses, x)
-        if not (coords >= 0).all(axis=1).any() or (coords > 0).all(axis=1).sum() > 1:
-            failures.append(f"{x} lies in no facet cone, or inside two")
-            break
     return SphereReport(
         euler_characteristic=chi,
         face_counts=tuple(face_counts),

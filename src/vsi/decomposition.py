@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,17 @@ def cached_generic_ext(
 ) -> int:
     """Generic ext(a, b), the same over every `field`: on a Dynkin quiver the sum
     of max(0, -<x, y>) over the generic parts x of a and y of b (Schofield),
-    elsewhere generic_ext over GF, memoized."""
+    each distinct pair once, weighted by multiplicities; elsewhere generic_ext
+    over GF, memoized."""
     a, b = check_nonneg(q, a), check_nonneg(q, b)
     if is_dynkin(q):
-        xs, ys = (generic_decomposition(q, v, field).schur_parts for v in (a, b))
-        return sum(max(0, -euler_form(q, x, y)) for x in xs for y in ys)
+        xs, ys = (
+            Counter(generic_decomposition(q, v, field).schur_parts).items()
+            for v in (a, b)
+        )
+        return sum(
+            m * k * max(0, -euler_form(q, x, y)) for x, m in xs for y, k in ys
+        )
     return _sampled_ext(q, a, b, trials)
 
 
@@ -272,8 +279,8 @@ def d_membership(q: Quiver, a, b, field: Field) -> bool:
     On a Dynkin quiver, by parts: C_V on a general presentation of a is
     block-diagonal over the generic parts of a (the Canonical Decomposition
     Theorem), so a is in D(b) iff every shifted part v has b_v = 0 and every
-    Schur part p has <p, b> = 0 = ext(p, b).  Elsewhere, an integer test
-    against the halfspace system of D(b).
+    distinct Schur part p has <p, b> = 0 = ext(p, b).  Elsewhere, an integer
+    test against the halfspace system of D(b).
     """
     b = check_nonneg(q, b)
     if all(x == 0 for x in b):
@@ -284,7 +291,7 @@ def d_membership(q: Quiver, a, b, field: Field) -> bool:
     dec = generic_decomposition(q, a, field)
     return all(b[v] == 0 for v in range(q.n) if dec.gamma[v]) and all(
         euler_form(q, p, b) == 0 and cached_generic_ext(q, p, b, field) == 0
-        for p in dec.schur_parts
+        for p in dict.fromkeys(dec.schur_parts)
     )
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -44,10 +46,9 @@ from vsi import (
     tits_form,
     truncated_compatibility,
     verify_sphere,
-    walk_locate,
     wall_labels,
 )
-from vsi import cluster
+from vsi import cluster, fields
 
 # one orientation each of A5, D5, E6, E7 and E8
 A5 = Quiver(list("12345"), [("1", "2"), ("3", "2"), ("3", "4"), ("5", "4")])
@@ -64,6 +65,12 @@ E8 = Quiver(
     [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("6", "7"),
      ("8", "3")],
 )
+
+
+@functools.cache
+def _built(q):
+    """One complex per quiver, for the tests that only read it."""
+    return build_complex(q, None)
 
 
 def brute_force_roots(q):
@@ -201,14 +208,14 @@ def test_verify_sphere_smoke(a2, a3, gf):
         assert report.euler_characteristic == chi
 
 
-def test_e7_complex_counts_walls_and_sphere(gf):
-    c = build_complex(E7, gf)
+def test_e7_complex_counts_walls_and_sphere():
+    c = _built(E7)
     assert len(c.facets) == 4160
     assert len(c.vertices) == 63 + 7
     labels = wall_labels(c)
     assert set(labels) == set(c.ridges())
     assert all(labels.values())
-    report = verify_sphere(c, samples=0)
+    report = verify_sphere(c)
     assert report.ok, report.failures
     assert report.euler_characteristic == 2
 
@@ -224,7 +231,7 @@ def test_face_counts_match_the_subset_definition(
 
     for q in (a2, a3, a3_alt, a4, d4, d4_out, A5, D5, E6, E7):
         c = build_complex(q, gf)
-        assert verify_sphere(c, samples=0).face_counts == by_definition(
+        assert verify_sphere(c).face_counts == by_definition(
             c.facets, q.n
         ), q.arrows
     # a facet listed twice is still one face of each size
@@ -234,11 +241,11 @@ def test_face_counts_match_the_subset_definition(
         facets=c.facets + c.facets[:1],
         inverses=np.concatenate([c.inverses, c.inverses[:1]]),
     )
-    assert verify_sphere(c, samples=0).face_counts == by_definition(c.facets, 3)
+    assert verify_sphere(c).face_counts == by_definition(c.facets, 3)
 
 
-def test_e8_complex_builds_with_associahedron_facet_count(gf):
-    c = build_complex(E8, gf)
+def test_e8_complex_builds_with_associahedron_facet_count():
+    c = _built(E8)
     assert len(c.facets) == 25080
     assert len(c.vertices) == 120 + 8
 
@@ -348,29 +355,6 @@ def test_locate_equals_generic_decomposition(a3, a3_alt, a4, d4, d4_out, gf):
             )
 
 
-def test_walk_locate_equals_the_facet_table(a3, a3_alt, a4, d4, d4_out, gf):
-    boxes = [(A2_REV, 5), (a3, 3), (a3_alt, 3), (a4, 2), (A4_ALT, 2), (d4, 2),
-             (d4_out, 2)]
-    for q, r in boxes:
-        c = build_complex(q, gf)
-        for x in itertools.product(range(-r, r + 1), repeat=q.n):
-            assert walk_locate(q, x) == locate(c, x), (q.arrows, x)
-    for q in (D5, E6):
-        c = build_complex(q, gf)
-        rng = derive_rng(47, "walk", q.names, q.arrows)
-        for _ in range(300):
-            x = tuple(int(v) for v in rng.integers(-9, 10, size=q.n))
-            assert walk_locate(q, x) == locate(c, x), (q.arrows, x)
-    # the first segment to this vector meets a face of codimension 2, so
-    # the walk starts again from another point
-    assert walk_locate(a3, (-3, -4, -6)) == locate(build_complex(a3, gf), (-3, -4, -6))
-    # Python integers past int64, and the same part-list limit as locate
-    shift = tuple(-(10**20) * x for x in proj_vector(d4, 0))
-    assert walk_locate(d4, shift).gamma == (10**20, 0, 0, 0)
-    with pytest.raises(VsiError):
-        walk_locate(d4, (10**20, 0, 0, 0))
-
-
 def _linear(n):
     names = [str(i) for i in range(1, n + 1)]
     return Quiver(names, list(zip(names, names[1:])))
@@ -378,7 +362,7 @@ def _linear(n):
 
 def test_large_dynkin_quivers_decompose_without_their_complex(gf):
     # A14 has about 9.7 million facets and D12 hundreds of thousands; the
-    # walk crosses at most one wall per positive root
+    # rank-2 reduction never lists them
     d12 = Quiver(_linear(12).names, [("1", "3")] + list(zip(
         _linear(12).names[1:], _linear(12).names[2:])))
     assert is_dynkin(d12)
@@ -455,9 +439,110 @@ def test_verify_sphere_refuses_an_empty_complex(a2, gf):
     c = dataclasses.replace(
         c, vertices=(), facets=(), compat=(), inverses=c.inverses[:0]
     )
-    report = verify_sphere(c, samples=0)
+    report = verify_sphere(c)
     assert not report.ok
     assert "no facets" in report.failures
+
+
+def sampled_covering(c, samples=200, seed=0):
+    """The covering test `verify_sphere` once sampled, kept as an oracle: each
+    of `samples` seeded nonzero vectors of [-6, 6]^n has coordinates >= 0 on
+    some facet and > 0 on at most one."""
+    q = c.quiver
+    rng = random.Random(mix_seed(seed, "covering", q.names, q.arrows))
+    checked = 0
+    while checked < samples:
+        x = tuple(rng.randint(-6, 6) for _ in range(q.n))
+        if not any(x):
+            continue
+        checked += 1
+        coords = cluster._coordinates(c.inverses, x)
+        if not (coords >= 0).all(axis=1).any() or (coords > 0).all(axis=1).sum() > 1:
+            return False
+    return True
+
+
+def test_covering_certificate_agrees_with_the_sampled_oracle(
+    a2, a3, a3_alt, a4, d4, d4_out
+):
+    # the criterion 7 orientations, then E7 and E8
+    for q in (a2, A2_REV, a3, a3_alt, a4, A4_ALT, d4, d4_out, E7, E8):
+        c = _built(q)
+        assert sampled_covering(c), q.arrows
+        report = verify_sphere(c)
+        assert report.ok, (q.arrows, report.failures)
+
+
+def _rank_two_complex(q, rays, cycle):
+    """A complex on rank-2 q with root vertices at `rays` and a facet for
+    each consecutive pair of the vertex cycle."""
+    verts = tuple(cluster.ComplexVertex("root", r) for r in rays)
+    facets = tuple(sorted(tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])))
+    return dataclasses.replace(
+        _built(q),
+        vertices=verts,
+        facets=facets,
+        compat=(),
+        inverses=cluster._facet_inverses(2, verts, facets),
+    )
+
+
+def test_verify_sphere_refuses_a_ridge_with_both_facets_on_one_side(a2):
+    # unimodular cones around the circle that fold back at (-1, 0) and again
+    # at (-1, 1): every ray lies in two cones, p = (1, 2) lies inside only
+    # the first quadrant, and the Euler characteristic is 0, yet the
+    # directions between (-1, 1) and (-1, 0) are covered three times
+    rays = [(1, 0), (0, 1), (-1, 0), (-1, 1), (0, -1)]
+    report = verify_sphere(_rank_two_complex(a2, rays, [0, 1, 2, 3, 4]))
+    assert report.failures == ("2 ridges with both facets on one side",)
+
+
+def test_verify_sphere_refuses_a_point_covered_twice(a2):
+    # unimodular cones winding twice around the circle, always turning the
+    # same way: each ray lies in two cones on opposite sides, but every
+    # direction is covered twice, p = (1, 2) included
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, 2), (-1, -1)]
+    report = verify_sphere(_rank_two_complex(a2, rays, list(range(7))))
+    assert report.failures == ("(1, 2) is not inside exactly one facet cone",)
+    # and a facet fewer leaves two rays in one facet each
+    c = _rank_two_complex(a2, rays, list(range(7)))
+    c = dataclasses.replace(c, facets=c.facets[1:], inverses=c.inverses[1:])
+    assert "2 ridges not in exactly 2 facets" in verify_sphere(c).failures
+
+
+def test_max_cliques_match_the_definition():
+    rng = derive_rng(49, "cliques")
+    n = 8
+    for _ in range(30):
+        upper = np.triu(rng.integers(2, size=(n, n)), 1).astype(bool)
+        adj = [set(np.flatnonzero(row).tolist()) for row in upper | upper.T]
+        cliques = [
+            s
+            for k in range(1, n + 1)
+            for s in itertools.combinations(range(n), k)
+            if all(j in adj[i] for i, j in itertools.combinations(s, 2))
+        ]
+        maximal = [s for s in cliques if not any(set(s) < set(t) for t in cliques)]
+        assert cluster._max_cliques(adj, n) == sorted(maximal)
+
+
+def test_facet_adjacency_connectivity():
+    edges = np.array([0, 1, 3, 4]), np.array([5, 2, 4, 5])
+    assert not cluster._connected(6, *edges)
+    assert cluster._connected(6, np.append(edges[0], 1), np.append(edges[1], 3))
+    assert cluster._connected(1, np.array([], int), np.array([], int))
+
+
+def test_verify_sphere_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_sphere asked for randomness")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    monkeypatch.setattr(fields, "mix_seed", refuse)
+    monkeypatch.setattr(fields, "derive_rng", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    report = verify_sphere(build_complex(E6, None), samples=200)
+    assert report.ok, report.failures
 
 
 def test_export_formats(a2, a3, a4, gf):

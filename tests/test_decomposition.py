@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
@@ -9,6 +10,7 @@ from vsi import (
     Quiver,
     SplitFailureError,
     VsiError,
+    build_complex,
     canonical_decomp,
     ZeroVectorError,
     cached_generic_ext,
@@ -21,6 +23,7 @@ from vsi import (
     generic_decomposition,
     generic_ext,
     is_schur_root,
+    locate,
     mix_seed,
     parse_field,
     positive_roots,
@@ -28,7 +31,6 @@ from vsi import (
     subrep_test,
     supp_test_randomized,
     tits_form,
-    walk_locate,
 )
 import vsi.reps
 from vsi import decomposition
@@ -320,13 +322,15 @@ def _orientations(q, count, rng):
     return out
 
 
-def test_generic_decomposition_equals_the_walk_on_dynkin_quivers(gf):
+def test_generic_decomposition_equals_the_facet_table_on_dynkin_quivers(gf):
+    built = functools.cache(lambda q: build_complex(q, gf))
     rng = derive_rng(63, "walk")
     for base in (A5, D5, E6, E7, E8):
         for q in _orientations(base, 4, rng):
+            c = built(q)
             for _ in range(100):
                 alpha = tuple(int(x) for x in rng.integers(-6, 7, size=q.n))
-                want = walk_locate(q, alpha)
+                want = locate(c, alpha)
                 assert generic_decomposition(q, alpha, gf) == want, (q.arrows, alpha)
     # on these two, an entry between the reduced pair pairs with the source
     # root, so it must move ahead of the new roots, not follow them
@@ -339,15 +343,16 @@ def test_generic_decomposition_equals_the_walk_on_dynkin_quivers(gf):
         (E8, (4, -6, 6, -3, -5, -1, -2, 5)),
         (e8_alt, (2, -2, 4, 4, 0, 3, 5, -1)),
     ):
-        assert generic_decomposition(q, alpha, gf) == walk_locate(q, alpha)
+        assert generic_decomposition(q, alpha, gf) == locate(built(q), alpha)
 
 
-def test_rank_two_rule_with_one_arrow_is_the_walk_on_a2(a2):
+def test_rank_two_rule_with_one_arrow_is_the_facet_table_on_a2(a2):
+    table = build_complex(a2, None)
     for x, y in itertools.product(range(13), repeat=2):
         if x or y:
             terms = decomposition._kronecker_parts(1, x, y)
             parts = tuple(sorted(root for root, c in terms for _ in range(c)))
-            assert parts == walk_locate(a2, (x, y)).schur_parts, (x, y)
+            assert parts == locate(table, (x, y)).schur_parts, (x, y)
 
 
 # the generalized Kronecker quiver with three arrows: wild, two vertices
@@ -474,6 +479,26 @@ def test_dynkin_membership_by_parts_equals_the_halfspace_system(
     assert not calls, calls
     members = sum(want for *_, want in cases)
     assert len(cases) == 960 and 100 < members < len(cases) - 100
+
+
+def test_membership_and_dynkin_ext_take_each_distinct_part_once(
+    a2, gf, monkeypatch
+):
+    # (n, 0) is n copies of S1 and (0, n) n copies of S2, so each answer needs
+    # one Euler form per distinct pair of parts, however large n is
+    n = 2000
+    assert d_beta_halfspaces(a2, (5, 0), gf).contains((0, 5))
+    calls = []
+    real = decomposition.euler_form
+    monkeypatch.setattr(
+        decomposition, "euler_form", lambda *args: calls.append(args) or real(*args)
+    )
+    assert d_membership(a2, (0, n), (n, 0), gf)
+    assert len(calls) <= 4
+    calls.clear()
+    # ext(S1, S2) = 1 on 1 -> 2, counted once per pair of copies
+    assert cached_generic_ext(a2, (n, 0), (0, n), gf) == n * n
+    assert len(calls) == 1
 
 
 def test_membership_refuses_a_zero_beta(ex_quiver, d4, gf):
