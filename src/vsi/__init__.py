@@ -35,6 +35,7 @@ from .decomposition import (
     is_schur_root,
     subrep_test,
     supp_test_randomized,
+    vanishing_certificate,
 )
 from .errors import (
     DimensionMismatchError,

@@ -29,6 +29,7 @@ from .decomposition import (
     d_membership,
     generic_decomposition,
     supp_test_randomized,
+    vanishing_certificate,
 )
 from .errors import (
     EmptyLabelError,
@@ -180,9 +181,14 @@ def _cmd_cv(args) -> int:
     nonzero = supp_test_randomized(
         q, alpha, beta, field, seed=args.seed, trials=args.trials
     )
+    certificate = vanishing_certificate(q, alpha, beta)
+    if certificate is None:
+        basis = f"{args.trials} trials"
+    else:
+        basis = f"certified: subrepresentation b|T = {_fmt_vec(certificate)}"
     lines = [
         f"C_V sample value = {field.elem_to_str(value)}",
-        f"nonvanishing     = {str(nonzero).lower()} ({args.trials} trials)",
+        f"nonvanishing     = {str(nonzero).lower()} ({basis})",
         f"weight           = {_fmt_vec(beta)}",
     ]
     _emit(
@@ -191,6 +197,7 @@ def _cmd_cv(args) -> int:
             "value": field.elem_to_str(value),
             "nonvanishing": nonzero,
             "trials": args.trials,
+            "certificate": None if certificate is None else list(certificate),
             "weight": list(beta),
         },
         lines,
@@ -329,6 +336,11 @@ def _selftest_checks():
     yield (
         "membership examples for D((0,1,2))",
         system.contains((-1, -1, -2)) and system.contains((-2, 0, -1)),
+    )
+    yield (
+        "C_V of (1,-1,-1) on (0,1,2) is certified to vanish, of (-1,-1,-2) not",
+        vanishing_certificate(q, (1, -1, -1), (0, 1, 2)) == (0, 0, 2)
+        and vanishing_certificate(q, (-1, -1, -2), (0, 1, 2)) is None,
     )
     yield (
         "(1,2,2) is a Schur root and (3,3,3) is three copies of (1,1,1)",

@@ -13,9 +13,12 @@ ext is read off the parts on a Dynkin quiver and sampled over `fields.GF`
 elsewhere, whatever field is passed.  Membership in D(beta) on a Dynkin
 quiver needs no such system: it is read off the parts of the vector's
 generic decomposition (see `d_membership`); elsewhere it is tested against
-the halfspaces.  The randomized support test samples over the caller's field
-instead: its trials come from one generator per call and are evaluated as
-one stacked elimination (see `supp_test_randomized`).
+the halfspaces.  The randomized support test first looks for a set of
+vertices closed under arrows inside supp(beta) whose subrepresentation
+forces a kernel on every Hom(phi, V) (see `vanishing_certificate`); such a
+vanishing verdict is exact and draws nothing.  Otherwise it samples over the
+caller's field: its trials come from one generator per call and are
+evaluated as one stacked elimination (see `supp_test_randomized`).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 from .errors import InvariantViolationError, VsiError, ZeroVectorError
 from .fields import GF, Field, derive_rng, mix_seed
 from .presentations import (
+    _euler_transpose_apply,
     canonical_decomp,
     hom_stack,
-    minimal_decomp,
     path_pairs,
     sorted_slots,
 )
@@ -300,6 +303,46 @@ def _halfspaces(q: Quiver, b: DimVector) -> HalfSpaceSystem:
     return d_beta_halfspaces(q, b, GF)
 
 
+@functools.lru_cache(maxsize=1 << 8)
+def _closed_sets(q: Quiver, support: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty T within `support` with no arrow from T into support - T,
+    fewest vertices first."""
+    heads = {v: {h for t, h in q.arrows if t == v and h in support} for v in support}
+    return tuple(
+        t
+        for k in range(1, len(support) + 1)
+        for t in itertools.combinations(support, k)
+        if all(heads[v].issubset(t) for v in t)
+    )
+
+
+def vanishing_certificate(q: Quiver, a, b) -> DimVector | None:
+    """b|T, the restriction of b to a set T of vertices, proving that C_V
+    vanishes on R^min(a) for every V of dimension b over every field; None if
+    no such T exists or <a, b> != 0.
+
+    T ranges over the nonempty subsets of supp(b) with no arrow from T into
+    supp(b) - T, fewest vertices first, and must have <a, b|T> > 0.  Then
+    V_T, the sum of the V_w over T, is a subrepresentation of every V of
+    dimension b, as V is 0 off supp(b), and Hom(phi, V) maps
+    Hom(P(gamma0), V_T), of dimension sum_T gamma0_w b_w, into
+    Hom(P(gamma1), V_T), which is smaller by sum_T (E^t a)_w b_w = <a, b|T>:
+    every det Hom(phi, V) is 0 (King, Quart. J. Math. 45, 1994;
+    Derksen-Weyman, J. AMS 13, 2000).  Not every vanishing C_V has such a
+    T: on the example quiver, (2, 1, 2) against (1, 2, 2) has none.
+    """
+    a = check_dim_vector(q, a)
+    b = check_nonneg(q, b)
+    eta = _euler_transpose_apply(q, a)
+    if sum(x * y for x, y in zip(eta, b)) != 0:
+        return None
+    support = tuple(v for v in range(q.n) if b[v])
+    for t in _closed_sets(q, support):
+        if sum(eta[v] * b[v] for v in t) > 0:
+            return tuple(b[v] if v in t else 0 for v in range(q.n))
+    return None
+
+
 # Trials stacked into one elimination: a large `trials` is evaluated a chunk at
 # a time, so memory stays at _TRIAL_CHUNK Hom matrices.
 _TRIAL_CHUNK = 8
@@ -310,13 +353,14 @@ def supp_test_randomized(
 ) -> bool:
     """Nonvanishing of the semi-invariant C_V on R^min(a) for general V.
 
-    Draws `trials` independent uniform pairs (phi, V) over `field` and
-    reports whether any det Hom(phi, V) is nonzero; a weight mismatch
-    <a, b> != 0 counts as vanishing, and a = 0 gives the empty determinant 1.
-    The pairs come from one generator per call, drawn and evaluated up to
-    _TRIAL_CHUNK at a time: one `rand_mats` draw, one `hom_stack` and one
-    stacked `Field.det` per chunk, stopping at the first chunk with a
-    nonzero determinant.
+    A weight mismatch <a, b> != 0 counts as vanishing, and a = 0 gives the
+    empty determinant 1.  A vanishing verdict that `vanishing_certificate`
+    proves is returned before any draw, whatever `trials` is.  Otherwise
+    `trials` independent uniform pairs (phi, V) are drawn over `field`, and
+    the test reports whether any det Hom(phi, V) is nonzero.  The pairs come
+    from one generator per call, drawn and evaluated up to _TRIAL_CHUNK at a
+    time: one `rand_mats` draw, one `hom_stack` and one stacked `Field.det`
+    per chunk, stopping at the first chunk with a nonzero determinant.
     """
     a = check_dim_vector(q, a)
     b = check_nonneg(q, b)
@@ -328,8 +372,11 @@ def supp_test_randomized(
         return True
     if euler_form(q, a, b) != 0:
         return False
-    dec = minimal_decomp(q, a)
-    g0, g1 = dec.gamma0, dec.gamma1
+    if vanishing_certificate(q, a, b) is not None:
+        return False
+    eta = _euler_transpose_apply(q, a)
+    g0 = tuple(max(x, 0) for x in eta)
+    g1 = tuple(max(-x, 0) for x in eta)
     pairs = path_pairs(q)
     shapes = [(g0[u], g1[v]) for u, v, paths in pairs for _ in paths]
     shapes += [(b[h], b[t]) for t, h in q.arrows]

@@ -81,7 +81,33 @@ def test_cv_reports_value_and_weight(capsys):
     data = json.loads(out)
     assert data["weight"] == [0, 1, 2]
     assert data["nonvanishing"] is True
+    assert data["certificate"] is None
     assert data["value"] != "0"
+
+
+def test_cv_names_the_subrepresentation_of_a_certified_verdict(capsys):
+    # (1,-1,-1) against (0,1,2) is certified by T = {3}; (2,1,2) against
+    # (1,2,2) vanishes without a certificate
+    code, out, err = _run(capsys, "cv", "--alpha=1,-1,-1", "--beta", "0,1,2")
+    assert code == 0, err
+    assert out.splitlines()[1] == (
+        "nonvanishing     = false (certified: subrepresentation b|T = 0,0,2)"
+    )
+    code, out, err = _run(
+        capsys, "--format", "json", "cv", "--alpha=1,-1,-1", "--beta", "0,1,2"
+    )
+    assert code == 0, err
+    assert json.loads(out)["certificate"] == [0, 0, 2]
+    for fmt in ("text", "json"):
+        code, out, err = _run(
+            capsys, "--format", fmt, "cv", "--alpha=2,1,2", "--beta", "1,2,2"
+        )
+        assert code == 0, err
+        if fmt == "text":
+            assert out.splitlines()[1] == "nonvanishing     = false (3 trials)"
+        else:
+            data = json.loads(out)
+            assert data["nonvanishing"] is False and data["certificate"] is None
 
 
 def test_complex_subcommands(capsys, tmp_path):
@@ -361,7 +387,7 @@ def test_selftest_passes(capsys):
     code, out, _ = _run(capsys, "selftest")
     assert code == 0
     assert "selftest passed" in out
-    assert out.count("ok:") == 8
+    assert out.count("ok:") == 9
     assert "ok: E6 complex" in out
     assert "ok: (1,2,2) is a Schur root and (3,3,3) is three copies" in out
 

@@ -18,6 +18,7 @@ from vsi import (
     d_membership,
     derive_rng,
     end_dim,
+    euler_data,
     euler_form,
     fitting_decompose,
     generic_decomposition,
@@ -31,6 +32,7 @@ from vsi import (
     subrep_test,
     supp_test_randomized,
     tits_form,
+    vanishing_certificate,
 )
 import vsi.reps
 from vsi import decomposition
@@ -209,17 +211,92 @@ def test_supp_test_draws_once_and_builds_no_samples(ex_quiver, gf, monkeypatch):
 
     monkeypatch.setattr(decomposition, "hom_stack", recorded)
     cases = [
-        ((-1, -1, -2), (0, 1, 2), True),  # a member: nonzero at once
-        ((1, -1, -1), (0, 1, 2), False),  # <a, b> = 0 but not a member
-        ((0, 1, 0), (1, 0, 0), True),  # Hom(phi, V) is 0x0: det 1
+        ((-1, -1, -2), (0, 1, 2), True, 1),  # a member: nonzero at once
+        # <a, b> = 0 but not a member, certified by T = {3}: nothing drawn
+        ((1, -1, -1), (0, 1, 2), False, 0),
+        # not a member and no closed obstruction: all five trials vanish
+        ((2, 1, 2), (1, 2, 2), False, 1),
+        ((0, 1, 0), (1, 0, 0), True, 1),  # Hom(phi, V) is 0x0: det 1
     ]
-    for a, b, want in cases:
+    for a, b, want, calls in cases:
         assert euler_form(ex_quiver, a, b) == 0
         del draws[:], stacks[:]
         assert supp_test_randomized(ex_quiver, a, b, gf, seed=3, trials=5) is want
-        assert len(draws) == 1
-        assert len(stacks) == 1 and stacks[0][0] == 5
+        assert len(draws) == calls
+        assert len(stacks) == calls and all(s[0] == 5 for s in stacks)
     assert stacks[0][1:] == (0, 0)
+
+
+def _zero_weight_pairs(q, count, seed):
+    # seeded pairs (a, b), a in [-3, 3]^n and b in [0, 3]^n, with <a, b> = 0
+    rng = derive_rng(seed, "certificate-grid", q.names, q.arrows)
+    pairs = []
+    while len(pairs) < count:
+        a = tuple(int(x) for x in rng.integers(-3, 4, q.n))
+        b = tuple(int(x) for x in rng.integers(0, 4, q.n))
+        if any(a) and any(b) and euler_form(q, a, b) == 0:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_vanishing_certificate_is_sound_on_a_seeded_grid(
+    ex_quiver, d4, gf, monkeypatch
+):
+    # a certified pair is a non-member whose sampled dets all vanish; no
+    # member is certified
+    flagged = []
+    for q in (ex_quiver, K3, A2_TILDE, D4_TILDE, d4, E6):
+        for a, b in _zero_weight_pairs(q, 60, seed=17):
+            cert = vanishing_certificate(q, a, b)
+            if cert is not None:
+                assert not d_membership(q, a, b, gf), (q.arrows, a, b, cert)
+                flagged.append((q, a, b))
+    assert len(flagged) > 60
+    monkeypatch.setattr(decomposition, "vanishing_certificate", lambda *args: None)
+    for q, a, b in flagged:
+        assert not supp_test_randomized(q, a, b, gf, seed=5, trials=8), (a, b)
+
+
+def test_vanishing_certificate_closes_inside_the_support(a3, gf):
+    # on 1 -> 2 -> 3 with b = (1, 0, 1), T = {1} is closed inside supp(b);
+    # its closure over the whole quiver, {1, 2, 3}, carries <a, b> = 0
+    a, b = (1, 0, -1), (1, 0, 1)
+    assert euler_form(a3, a, b) == 0
+    assert vanishing_certificate(a3, a, b) == (1, 0, 0)
+    assert not supp_test_randomized(a3, a, b, gf)
+
+
+def test_vanishing_certificate_closes_under_successors(ex_quiver, gf):
+    # a copy closed under predecessors instead would flag a member
+    def predecessor_closed(q, a, b):
+        eta = [sum(a[v] * row[w] for v, row in enumerate(euler_data(q).e))
+               for w in range(q.n)]
+        support = [v for v in range(q.n) if b[v]]
+        for k in range(1, len(support) + 1):
+            for t in itertools.combinations(support, k):
+                closed = all(
+                    s in t for s, h in q.arrows if h in t and s in support
+                )
+                if closed and sum(eta[v] * b[v] for v in t) > 0:
+                    return t
+        return None
+
+    a, b = (-3, 1, 0), (0, 1, 2)
+    assert euler_form(ex_quiver, a, b) == 0
+    assert d_membership(ex_quiver, a, b, gf)
+    assert predecessor_closed(ex_quiver, a, b) == (1,)
+    assert vanishing_certificate(ex_quiver, a, b) is None
+    assert supp_test_randomized(ex_quiver, a, b, gf)
+
+
+def test_certified_verdict_draws_nothing_for_any_trials(ex_quiver, gf, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified verdict drew a trial")
+
+    monkeypatch.setattr(decomposition, "derive_rng", refuse)
+    assert not supp_test_randomized(
+        ex_quiver, (1, -1, -1), (0, 1, 2), gf, trials=10**9
+    )
 
 
 def test_cached_generic_ext_is_deterministic(ex_quiver, gf):
