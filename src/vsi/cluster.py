@@ -9,8 +9,11 @@ positive roots whose support cone D(beta) contains them.
 
 The face cones partition R^n and each facet's lambda vectors form a Z-basis,
 so one certified table of integer facet inverses answers every cone question
-exactly: `locate`, `ridge_cone_contains` and `verify_sphere`'s covering
-certificate, which samples nothing.
+exactly: `locate`, `ridge_cone_contains`, `verify_sphere`'s covering
+certificate, which samples nothing, and `wall_labels`, which reads the label
+of the ridge "facet f without vertex k" as E^-1 times row k of f's inverse.
+One sort of those ridge rows (`TiltingComplex.ridge_table`) serves the walls,
+the sphere checks, `ridges` and `ridge_facets`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .quiver import (
     Quiver,
     check_dim_vector,
     euler_data,
-    euler_form,
     is_dynkin,
     proj_vector,
     symmetrized_euler,
@@ -140,16 +142,32 @@ class TiltingComplex:
     inverses: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     @functools.cached_property
+    def ridge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_sort_rows` of the rows "facet f without its vertex k" (row
+        n*f + k).  Facets are sorted, so equal ridges are equal rows, which
+        the one sort makes adjacent; `ridges`, `ridge_facets`, `wall_labels`
+        and `verify_sphere` all read it."""
+        n = self.quiver.n
+        facets = np.array(self.facets, dtype=np.min_scalar_type(len(self.vertices)))
+        facets = facets.reshape(-1, n)
+        drop = [[j for j in range(n) if j != k] for k in range(n)]
+        return _sort_rows(facets[:, drop].reshape(len(facets) * n, n - 1))
+
+    @functools.cached_property
     def ridge_facets(self) -> dict[tuple[int, ...], list[int]]:
-        """Each ridge (sorted) with the indices of the facets containing it."""
-        out: dict[tuple[int, ...], list[int]] = {}
-        for fi, facet in enumerate(self.facets):
-            for ridge in itertools.combinations(facet, len(facet) - 1):
-                out.setdefault(ridge, []).append(fi)
-        return out
+        """Each ridge (sorted) with the indices of the facets containing it,
+        in ascending order."""
+        _, order, first = self.ridge_table
+        holders = (order // self.quiver.n).tolist()
+        runs = np.append(np.flatnonzero(first), len(order)).tolist()
+        return {
+            ridge: holders[a:b]
+            for ridge, a, b in zip(self.ridges(), runs, runs[1:])
+        }
 
     def ridges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.ridge_facets))
+        rows, _, first = self.ridge_table
+        return tuple(map(tuple, rows[first].tolist()))
 
     def is_face(self, vertex_set) -> bool:
         s = set(vertex_set)
@@ -226,6 +244,11 @@ def _fan(q: Quiver) -> tuple[tuple[ComplexVertex, ...], np.ndarray]:
 _INT64_BOUND = 2**20
 
 
+def _lam_rows(n: int, verts) -> np.ndarray:
+    """The lambda vectors of `verts` as the rows of an int64 (len, n) array."""
+    return np.array([v.lam for v in verts], dtype=np.int64).reshape(-1, n)
+
+
 def _facet_inverses(n: int, verts, facets) -> np.ndarray:
     """The certified integer inverse of each facet's lambda matrix.
 
@@ -234,7 +257,7 @@ def _facet_inverses(n: int, verts, facets) -> np.ndarray:
     inverse exists exactly when |det L| = 1, so any other facet raises
     InvariantViolationError.
     """
-    lam = np.array([v.lam for v in verts], dtype=np.int64).reshape(-1, n)
+    lam = _lam_rows(n, verts)
     mats = lam[np.array(facets, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1)
     approx = mats.astype(float)
     # a zero pivot would make the batched inverse raise; such a facet keeps
@@ -412,11 +435,7 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
         failures.append("impure: facet of wrong size")
     facets = np.array(c.facets, dtype=np.min_scalar_type(len(c.vertices)))
     facets = facets.reshape(-1, n)
-    # row n*f + k is facet f without its vertex k: facets are sorted, so equal
-    # ridges are equal rows, which one sort makes adjacent
-    drop = [[j for j in range(n) if j != k] for k in range(n)]
-    ridges = facets[:, drop].reshape(len(facets) * n, n - 1)
-    ridges, order, first = _sort_rows(ridges)
+    ridges, order, first = c.ridge_table
     sizes = np.diff(np.append(np.flatnonzero(first), len(ridges)))
     if (sizes != 2).any():
         failures.append(f"{np.sum(sizes != 2)} ridges not in exactly 2 facets")
@@ -426,7 +445,7 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
     if not _connected(len(facets), f, g):
         failures.append("facet adjacency graph is disconnected")
     # on opposite sides, g's other vertex has coordinate k < 0 on f's basis
-    lam = np.array([v.lam for v in c.vertices], dtype=np.int64).reshape(-1, n)
+    lam = _lam_rows(n, c.vertices)
     apex = np.einsum("ij,ij->i", c.inverses[f, k], lam[facets[g, j]])
     if (apex >= 0).any():
         failures.append(f"{np.sum(apex >= 0)} ridges with both facets on one side")
@@ -464,22 +483,39 @@ def verify_sphere(c: TiltingComplex, samples: int = 200) -> SphereReport:
 def wall_labels(
     c: TiltingComplex,
 ) -> dict[tuple[int, ...], tuple[DimVector, ...]]:
-    """For each ridge, the positive roots beta with all lambda vectors
-    perpendicular to beta (<lam, beta> = 0), in root order; nonempty by the
-    wall theorem."""
-    q = c.quiver
-    roots = positive_roots(q)
-    perp = [
-        {k for k, beta in enumerate(roots) if euler_form(q, v.lam, beta) == 0}
-        for v in c.vertices
-    ]
-    everything = set(range(len(roots)))
+    """For each ridge in sorted order, the positive roots beta with every
+    lambda vector of the ridge perpendicular to it (<lam, beta> = 0); nonempty
+    by the wall theorem.
+
+    Read off the certified inverse table: for the ridge "facet f without its
+    vertex k", row k of f's inverse is the m with m . lam_i = delta_ik on f, so
+    b = E^-1 m^t has <lam_i, b> = delta_ik.  The ridge's perpendicular line is
+    spanned by b, which is primitive, so the label is (b,) (sign made
+    positive) when b is a root vertex, and there is none otherwise.  One
+    batched product gives every b; a second certifies <lam_i, b> = 0 on the
+    ridge, so a tampered table raises InvariantViolationError."""
+    q, n = c.quiver, c.quiver.n
+    rows, order, first = c.ridge_table
+    ridges = rows[first]
+    f, k = divmod(order[first], n)
+    d = euler_data(q)
+    e = np.array(d.e, dtype=np.int64).reshape(n, n)
+    vecs = c.inverses[f, k] @ np.array(d.e_inv, dtype=np.int64).reshape(n, n).T
+    vecs[vecs.sum(axis=1) < 0] *= -1
+    lam = _lam_rows(n, c.vertices)
+    off = np.einsum("rij,rj->ri", lam[ridges], vecs @ e.T).any(axis=1)
+    if off.any():
+        r = int(np.argmax(off))
+        raise InvariantViolationError(
+            f"ridge {tuple(ridges[r].tolist())} is not perpendicular to "
+            f"{tuple(vecs[r].tolist())}"
+        )
+    roots = {v.vector: (v.vector,) for v in c.vertices if v.kind == "root"}
     out: dict[tuple[int, ...], tuple[DimVector, ...]] = {}
-    for ridge in c.ridges():
-        common = everything.intersection(*(perp[i] for i in ridge))
-        if not common:
+    for ridge, b in zip(c.ridges(), map(tuple, vecs.tolist())):
+        if b not in roots:
             raise EmptyLabelError(f"ridge {ridge} received no label")
-        out[ridge] = tuple(roots[k] for k in sorted(common))
+        out[ridge] = roots[b]
     return out
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vsi import (
+    EmptyLabelError,
     InvariantViolationError,
     NotASimplexError,
     NotDynkinError,
@@ -48,7 +49,7 @@ from vsi import (
     verify_sphere,
     wall_labels,
 )
-from vsi import cluster, fields
+from vsi import cluster, fields, quiver
 
 # one orientation each of A5, D5, E6, E7 and E8
 A5 = Quiver(list("12345"), [("1", "2"), ("3", "2"), ("3", "4"), ("5", "4")])
@@ -279,6 +280,107 @@ def test_wall_labels_nonempty_and_perpendicular(a3, gf):
         for beta in roots:
             for i in ridge:
                 assert euler_form(a3, c.vertices[i].lam, beta) == 0
+
+
+def _orientations(n, edges):
+    """Every orientation of the tree with these edges, one per bit mask."""
+    names = [str(i) for i in range(1, n + 1)]
+    return [
+        Quiver(names, [(str(b), str(a)) if mask >> i & 1 else (str(a), str(b))
+                       for i, (a, b) in enumerate(edges)])
+        for mask in range(2 ** len(edges))
+    ]
+
+
+def _perpendicular_roots(c):
+    """The definition of a wall label, with one integer product: a root r
+    labels a ridge iff <lam_i, r> = lam_i E r = 0 for every ridge vertex i."""
+    q = c.quiver
+    roots = positive_roots(q)
+    lam = np.array([v.lam for v in c.vertices]).reshape(-1, q.n)
+    perp = lam @ np.array(quiver.euler_data(q).e) @ np.array(roots).T == 0
+    return {
+        ridge: tuple(r for r, ok in zip(roots, perp[list(ridge)].all(axis=0)) if ok)
+        for ridge in sorted({
+            ridge
+            for facet in c.facets
+            for ridge in itertools.combinations(facet, q.n - 1)
+        })
+    }
+
+
+def test_wall_labels_equal_the_perpendicular_roots():
+    a5 = _orientations(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    d5 = _orientations(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
+    e6 = _orientations(6, [(1, 2), (2, 3), (3, 4), (4, 5), (6, 3)])
+    e6 = random.Random(27).sample(e6, 4)
+    for q in a5 + d5 + e6 + [E7]:
+        c = _built(q)
+        labels, expected = wall_labels(c), _perpendicular_roots(c)
+        assert list(labels) == list(expected), q.arrows
+        assert labels == expected, q.arrows
+        assert all(len(roots) == 1 for roots in labels.values())
+
+
+def test_ridge_table_matches_the_combinations_definition(a3, d4):
+    for q in (a3, d4, E6):
+        c = build_complex(q, None)
+        expected: dict = {}
+        for fi, facet in enumerate(c.facets):
+            for ridge in itertools.combinations(facet, q.n - 1):
+                expected.setdefault(ridge, []).append(fi)
+        assert c.ridges() == tuple(sorted(expected)), q.arrows
+        assert c.ridge_facets == expected, q.arrows
+
+
+def test_rank_one_walls_and_sphere():
+    c = build_complex(Quiver(["1"], []), None)
+    assert c.facets == ((0,), (1,))
+    assert c.ridges() == ((),)
+    assert c.ridge_facets == {(): [0, 1]}
+    assert wall_labels(c) == {(): ((1,),)}
+    report = verify_sphere(c)
+    assert report.ok, report.failures
+    assert (report.euler_characteristic, report.face_counts) == (2, (2,))
+
+
+def test_wall_normal_off_the_roots_has_no_label(a3):
+    # one facet on A3 (1 -> 2 -> 3): the normal of its ridge (0, 1) is
+    # (2, 2, 1), which is not a root
+    verts = tuple(
+        cluster.ComplexVertex("root", v) for v in ((1, 0, 0), (0, -1, 1), (0, 0, 1))
+    )
+    facets = ((0, 1, 2),)
+    c = dataclasses.replace(
+        build_complex(a3, None),
+        vertices=verts,
+        facets=facets,
+        compat=(),
+        inverses=cluster._facet_inverses(3, verts, facets),
+    )
+    with pytest.raises(EmptyLabelError, match=r"ridge \(0, 1\)"):
+        wall_labels(c)
+
+
+def test_wall_labels_refuse_a_tampered_inverse_table():
+    c = _built(E6)
+    inverses = c.inverses.copy()
+    inverses[0, 0] += inverses[0, 1]
+    with pytest.raises(InvariantViolationError, match="not perpendicular"):
+        wall_labels(dataclasses.replace(c, inverses=inverses))
+
+
+def test_wall_labels_scan_no_root_against_a_vertex(monkeypatch):
+    c = build_complex(E6, None)
+    expected = _perpendicular_roots(c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wall_labels scanned roots against vertices")
+
+    for module in (cluster, quiver):
+        monkeypatch.setattr(module, "euler_form", refuse, raising=False)
+    monkeypatch.setattr(cluster, "positive_roots", refuse)
+    assert wall_labels(c) == expected
 
 
 def _lam_sum(c, coeffs):
